@@ -32,7 +32,7 @@ int main() {
       SimilarityExperiment<L2Space> exp(
           proto, w.space, dataset,
           w.make_mapper(Selection::kKMeans, k, scale.sample, scale.seed + k),
-          "k" + std::to_string(k), topology);
+          std::string("k").append(std::to_string(k)), topology);
       exp.set_queries(queries, truth);
       QueryStats stats = exp.run_batch(0.05 * w.max_dist);
       CellOutput out;

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -231,18 +232,14 @@ int run() {
     ChordNode* origin = alive[origin_rng.below(alive.size())];
     sim.schedule_at(at, [&, i, origin] {
       const DenseVector& q = qpts[i];
-      // Per-query memo: several index nodes rank the same candidate.
-      auto cache =
-          std::make_shared<std::unordered_map<std::uint64_t, double>>();
       // `i` must ride by value: the closure outlives this scheduled
-      // event (it is invoked per subquery while the query is in
+      // event (it is invoked per reply flush while the query is in
       // flight).
-      IndexPlatform::DistanceFn rank = [&, cache, i](std::uint64_t id) {
-        auto it = cache->find(id);
-        if (it != cache->end()) return it->second;
-        double d = dist_to(qpts[i], id);
-        cache->emplace(id, d);
-        return d;
+      IndexPlatform::RankFn rank = [&, i](std::span<const std::uint64_t> ids,
+                                          std::span<double> out) {
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+          out[j] = dist_to(qpts[i], ids[j]);
+        }
       };
       platform.range_query(
           *origin, index.scheme_id(), index.mapper().map_unclamped(q),

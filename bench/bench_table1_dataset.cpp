@@ -5,6 +5,7 @@
 // The verification scan runs as a sweep cell; its lines are emitted
 // after the parameter table, as in the serial layout.
 #include <cmath>
+#include <string>
 
 #include "bench_common.hpp"
 #include "common/stats.hpp"
@@ -20,8 +21,11 @@ int main() {
   TablePrinter params({"parameter", "paper", "this run"});
   params.add_row({"Dimension", "100", std::to_string(w.cfg.dims)});
   params.add_row({"Range of each dimension", "[0..100]",
-                  "[" + fmt(w.cfg.range_lo, 0) + ".." +
-                      fmt(w.cfg.range_hi, 0) + "]"});
+                  std::string("[")
+                      .append(fmt(w.cfg.range_lo, 0))
+                      .append("..")
+                      .append(fmt(w.cfg.range_hi, 0))
+                      .append("]")});
   params.add_row({"Number of clusters", "10", std::to_string(w.cfg.clusters)});
   params.add_row(
       {"Deviation of each cluster", "20", fmt(w.cfg.deviation, 0)});

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   TablePrinter table(QueryStats::header());
   for (double f : args.factors) {
     QueryStats stats = exp.run_batch(f * max_dist);
-    table.add_row(stats.row("@" + fmt(f * 100, 2) + "%"));
+    table.add_row(stats.row(std::string("@").append(fmt(f * 100, 2)).append("%")));
   }
   if (args.csv) {
     std::fputs(table.csv().c_str(), stdout);

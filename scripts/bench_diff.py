@@ -74,6 +74,16 @@ number, so it is a HARD failure: it exits nonzero even under
 --warn-only. Plain builds (guard_enabled false) skip the gate with a
 note.
 
+Flagship allocation gate: when the current flagship run carries an
+"alloc" section with "guard_enabled": true, the real open-loop query
+phase ("open_loop_queries") must stay at or below
+FLAGSHIP_ALLOC_CEILING allocations per arrival (scale.arrivals). Not
+zero — each query legitimately allocates its outcome, result set,
+rank closure and per-reply id lists — but a per-candidate allocation
+(a rank memo node, an unpooled reply buffer) multiplies the count by
+the ~1.4k candidates of a smoke-scale query and fails the ceiling by
+an order of magnitude. Also a HARD failure.
+
 Throughput on shared CI runners is noisy, so CI invokes this with
 --warn-only: the comparison is printed and annotated but never breaks
 the build. Local runs (scripts/check.sh --bench-smoke) fail hard.
@@ -89,6 +99,14 @@ where a number is required) exits nonzero with a one-line
 import argparse
 import json
 import sys
+
+# Allocations per arrival allowed in the flagship open-loop query phase.
+# Smoke-scale bench_flagship (256 nodes, 20k objects, 200 arrivals)
+# measures 382 per arrival with flush-time batch ranking, against 1,760
+# when ranking kept a per-query memo with one node per candidate. The
+# ceiling leaves ~30% headroom over 382 and still sits ~3.5x below a
+# reintroduced per-candidate allocation.
+FLAGSHIP_ALLOC_CEILING = 500.0
 
 
 def load_doc(path):
@@ -396,6 +414,38 @@ def check_alloc(cur_doc, path, hard):
               "allocations)")
 
 
+def check_flagship_alloc(args, hard):
+    """Per-arrival allocation ceiling on the flagship's open-loop query
+    phase (alloc-guard builds only)."""
+    cur_doc, why = load_flagship(args.flagship)
+    if cur_doc is None:
+        print(f"bench_diff: flagship alloc gate skipped — {why}")
+        return
+    alloc = cur_doc.get("alloc")
+    if not isinstance(alloc, dict) or not alloc.get("guard_enabled"):
+        print("bench_diff: flagship alloc gate skipped — alloc guard "
+              "disabled (build with -DLMK_ALLOC_GUARD=ON)")
+        return
+    queries = section(alloc, "open_loop_queries", args.flagship)
+    allocs = inum(queries, "allocs", args.flagship)
+    arrivals = inum(section(cur_doc, "scale", args.flagship), "arrivals",
+                    args.flagship)
+    if arrivals <= 0:
+        sys.exit(f"bench_diff: {args.flagship}: \"arrivals\" must be "
+                 f"positive (got {arrivals})")
+    per = allocs / arrivals
+    ceil = FLAGSHIP_ALLOC_CEILING
+    print(f"bench_diff: flagship open-loop queries {allocs:,} allocs over "
+          f"{arrivals:,} arrivals = {per:.1f} per arrival "
+          f"(ceiling {ceil:.0f})")
+    if per > ceil:
+        hard(f"flagship open-loop query phase made {per:.1f} allocations "
+             f"per arrival (ceiling {ceil:.0f}) — something on the query "
+             f"path allocates per candidate")
+    else:
+        print("bench_diff: flagship alloc gate OK")
+
+
 def finish(args, failures, hard_failures, label):
     """Shared exit protocol: soft failures respect --warn-only, hard
     failures (allocation discipline) never do."""
@@ -483,6 +533,7 @@ def main():
     if args.flagship_only:
         check_flagship(args, gate)
         check_serve(args, gate)
+        check_flagship_alloc(args, hard)
         return finish(args, failures, hard_failures, " (flagship only)")
 
     base_doc = load_doc(args.baseline)
@@ -579,6 +630,9 @@ def main():
 
     # --- serving tier (absolute gates on the current flagship run) ---
     check_serve(args, gate)
+
+    # --- flagship query-phase allocations (hard gate) ---
+    check_flagship_alloc(args, hard)
 
     return finish(args, failures, hard_failures, "")
 

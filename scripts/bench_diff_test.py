@@ -3,8 +3,9 @@
 
 Runs bench_diff.py as a subprocess (the way CI and check.sh invoke it)
 and asserts on exit codes and messages: malformed input must produce a
-one-line readable error (never a traceback), and the zero-allocation
-hard gate must fail even under --warn-only.
+one-line readable error (never a traceback), and the allocation hard
+gates (zero steady-state allocations, the flagship per-arrival
+ceiling) must fail even under --warn-only.
 """
 
 import json
@@ -317,6 +318,52 @@ class BenchDiffTest(unittest.TestCase):
         proc = self.run_diff(base, cur)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("serve alloc gate OK", proc.stdout)
+
+    def flagship_alloc_doc(self, allocs, guard=True):
+        doc = flagship_doc()
+        doc["scale"]["arrivals"] = 200
+        doc["alloc"] = {
+            "guard_enabled": guard,
+            "stream_build": {"allocs": 7829, "frees": 13787,
+                             "alloc_bytes": 9392944,
+                             "free_bytes": 5764416},
+            "open_loop_queries": {"allocs": allocs, "frees": allocs,
+                                  "alloc_bytes": 64 * allocs,
+                                  "free_bytes": 64 * allocs},
+        }
+        return doc
+
+    def test_flagship_alloc_gate_passes_under_ceiling(self):
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json", self.flagship_alloc_doc(76475))
+        proc = self.run_flagship(base, cur)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("382.4 per arrival", proc.stdout)
+        self.assertIn("flagship alloc gate OK", proc.stdout)
+
+    def test_flagship_alloc_gate_fails_hard_even_with_warn_only(self):
+        # A per-candidate allocation (the old rank memo: ~1,760 per
+        # arrival at smoke scale) must trip the ceiling.
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json", self.flagship_alloc_doc(351911))
+        proc = self.run_flagship(base, cur, "--warn-only")
+        self.assert_readable_failure(proc, "HARD FAILURE")
+        self.assertIn("allocates per candidate", proc.stderr)
+
+    def test_flagship_alloc_gate_runs_with_perf_doc_too(self):
+        base = self.write("base.json", perf_doc())
+        cur = self.write("cur.json", perf_doc())
+        fcur = self.write("fcur.json", self.flagship_alloc_doc(351911))
+        proc = self.run_diff(base, cur, "--flagship", fcur, "--warn-only")
+        self.assert_readable_failure(proc, "HARD FAILURE")
+
+    def test_flagship_alloc_gate_skipped_when_guard_disabled(self):
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json",
+                         self.flagship_alloc_doc(0, guard=False))
+        proc = self.run_flagship(base, cur)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("flagship alloc gate skipped", proc.stdout)
 
     def test_soft_regression_respects_warn_only(self):
         base = self.write("base.json", perf_doc())

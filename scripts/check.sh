@@ -21,17 +21,28 @@
 #                                       #   7. sched smoke (below)
 #                                       #   8. store smoke (below)
 #                                       #   9. serve smoke (below)
+#                                       #  10. perfbench smoke (below)
 #   scripts/check.sh --alloc-guard [--warn-only]
 #                                       # allocation-discipline leg: build
 #                                       # with -DLMK_ALLOC_GUARD=ON and
 #                                       # -DLMK_ARENA_GUARD=ON (operator
 #                                       # new/delete interposed, arena
 #                                       # lifetime sanitizer armed), ctest,
-#                                       # then a toy-scale bench_perf whose
+#                                       # then a toy-scale bench_perf and a
+#                                       # smoke-scale bench_flagship whose
 #                                       # per-phase allocation JSON feeds
 #                                       # bench_diff.py's zero-steady-state-
-#                                       # allocation gate (a HARD gate: it
-#                                       # fails even under --warn-only)
+#                                       # allocation gate and its flagship
+#                                       # allocations-per-arrival ceiling
+#                                       # (HARD gates: they fail even under
+#                                       # --warn-only)
+#   scripts/check.sh --perfbench-smoke  # the repository benchmark's
+#                                       # selftest (perfbench/run.py
+#                                       # --selftest): builds perfbench,
+#                                       # checks virtual-time metrics are
+#                                       # identical across runs and pool
+#                                       # widths, and that a planted wrong
+#                                       # result is caught
 #   scripts/check.sh --bench-smoke [--warn-only]
 #                                       # toy-scale online bench_perf run +
 #                                       # bench_diff.py events/sec regression
@@ -284,14 +295,30 @@ run_alloc_guard() {
     LMK_ONLINE_EVENTS=1000000 \
     LMK_PERF_OUT=build-check-allocguard/BENCH_perf.allocguard.json \
     ./build-check-allocguard/bench/bench_perf
+  # The real open-loop query path at smoke scale: its allocations per
+  # arrival are held under bench_diff's flagship ceiling.
+  LMK_FLAGSHIP_OUT=build-check-allocguard/BENCH_flagship.allocguard.json \
+    ./build-check-allocguard/bench/bench_flagship
   scripts/bench_diff.py \
-    --current build-check-allocguard/BENCH_perf.allocguard.json "$@"
+    --current build-check-allocguard/BENCH_perf.allocguard.json \
+    --flagship build-check-allocguard/BENCH_flagship.allocguard.json "$@"
+}
+
+run_perfbench_smoke() {
+  echo "== check.sh: perfbench smoke (benchmark selftest) =="
+  python3 perfbench/run.py --selftest
 }
 
 if [ "${1:-}" = "--alloc-guard" ]; then
   shift
   run_alloc_guard "$@"
   echo "check.sh: OK (alloc-guard leg)"
+  exit 0
+fi
+
+if [ "${1:-}" = "--perfbench-smoke" ]; then
+  run_perfbench_smoke
+  echo "check.sh: OK (perfbench smoke)"
   exit 0
 fi
 
@@ -346,9 +373,10 @@ if [ "${1:-}" = "--all" ]; then
   run_sched_smoke
   run_store_smoke
   run_serve_smoke
+  run_perfbench_smoke
   echo "check.sh: OK (--all: lint + tidy + plain + audit + asan/ubsan/tsan" \
-       "+ alloc-guard + sched-smoke + store-smoke + serve-smoke," \
-       "LMK_THREADS=$LMK_THREADS)"
+       "+ alloc-guard + sched-smoke + store-smoke + serve-smoke" \
+       "+ perfbench-smoke, LMK_THREADS=$LMK_THREADS)"
   exit 0
 fi
 

@@ -8,6 +8,7 @@
 #include "balance/rotation.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "core/top_k.hpp"
 
 namespace lmk {
 
@@ -311,7 +312,7 @@ std::size_t IndexPlatform::total_entries() const {
 void IndexPlatform::range_query(ChordNode& origin, std::uint32_t scheme_id,
                                 const IndexPoint& center, double radius,
                                 ReplyMode mode, QueryCallback done,
-                                DistanceFn rank) {
+                                RankFn rank) {
   region_query(origin, scheme_id, query_region(center, radius), center, mode,
                std::move(done), std::move(rank));
 }
@@ -319,7 +320,7 @@ void IndexPlatform::range_query(ChordNode& origin, std::uint32_t scheme_id,
 void IndexPlatform::region_query(ChordNode& origin, std::uint32_t scheme_id,
                                  Region region, IndexPoint focus,
                                  ReplyMode mode, QueryCallback done,
-                                 DistanceFn rank) {
+                                 RankFn rank) {
   LMK_CHECK(done != nullptr);
   const SchemeRouting& sch = scheme(scheme_id);
   std::uint64_t qid = next_qid_++;
@@ -476,24 +477,28 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
   LMK_CHECK(it != active_.end());
   ActiveQuery& aq = it->second;
 
-  // Collect the local matches: stored entries whose index point lies in
-  // the (closed) query region, scored for the per-node top-k cut —
-  // by true metric distance when the query carries a ranking function
-  // (distributed refinement), else by the contractive L-inf lower bound.
+  // Collect the local matches: ids of stored entries whose index point
+  // lies in the (closed) query region. Ranking waits for the reply
+  // flush, which makes one batch RankFn call over the whole reply — and
+  // none at all for a reply within the top-k cut or in kAllMatches
+  // mode. Only a kTopK query without a RankFn is scored here, by the
+  // contractive L-inf lower bound (the entry point is at hand now and
+  // gone at flush).
   //
   // The probe itself is delegated to the scheme's LocalStore backend
   // (sorted order indices, HNSW graph, or pivot table — see src/store/).
   // Every backend surfaces hits in a deterministic order that is a pure
-  // function of store contents, and the reply assembly downstream sorts
-  // and dedups by (object, score), so results stay byte-identical per
-  // backend at any thread count.
+  // function of store contents, and the flush's dedup and select are
+  // order-independent, so results stay byte-identical per backend at any
+  // thread count.
   PendingReply& reply = pending_replies_[q.qid][&node];
   if (!reply.pooled) {
-    // Fresh (query, node) reply: back its scored buffer with a pooled
-    // vector so steady-state query traffic stops allocating.
-    reply.scored = reply_pool_.acquire();
+    // Fresh (query, node) reply: back it with pooled buffers so
+    // steady-state query traffic stops allocating.
+    reply.buf = reply_pool_.acquire();
     reply.pooled = true;
   }
+  const bool bound_scores = aq.mode == ReplyMode::kTopK && !aq.rank;
   std::uint64_t evaluated = 0;
   bool cache_hit = false;
   ResultCache* cache = nullptr;
@@ -505,9 +510,11 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
     if (cache->probe(q.region, ring_.sim().now(), &cobjs, &ccoords, &cdims)) {
       // Hot-result hit: the cached hit-list is the region's exact match
       // set (coverage invalidation guarantees no mutation touched the
-      // region since the fill). Scores are recomputed against THIS
-      // query's rank/focus — different queries share a region without
-      // sharing a focus. The store is never probed: scanned += 0.
+      // region since the fill). Cached ids are appended like store
+      // hits; only a kTopK query without a RankFn scores them here, by
+      // the L-inf bound against THIS query's focus — different queries
+      // share a region without sharing a focus. The store is never
+      // probed: scanned += 0.
       cache_hit = true;
       if (serve_->options().verify_hits) {
         // Oracle cross-check (LMK_SERVE_VERIFY): re-solve and compare
@@ -531,14 +538,15 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
                       "fresh solve (coverage invalidation bug)");
         serve_->stats().verified_hits += 1;
       }
-      for (std::size_t i = 0; i < cobjs.size(); ++i) {
-        std::span<const double> pt = ccoords.subspan(i * cdims, cdims);
-        ++evaluated;
-        const std::uint64_t object = cobjs[i];
-        double score =
-            aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
-        // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
-        reply.scored.emplace_back(score, object);
+      evaluated += cobjs.size();
+      // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
+      reply.buf.ids.insert(reply.buf.ids.end(), cobjs.begin(), cobjs.end());
+      if (bound_scores) {
+        for (std::size_t i = 0; i < cobjs.size(); ++i) {
+          // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
+          reply.buf.scores.push_back(
+              index_lower_bound(ccoords.subspan(i * cdims, cdims), q.focus));
+        }
       }
       aq.outcome.cache_hits += 1;
     }
@@ -548,16 +556,17 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
     ensure_local_store(ss, aq.scheme);
     solve_hits_.clear();
     aq.outcome.scanned += ss.local->range(ss.entries, q.region, solve_hits_);
+    evaluated += solve_hits_.size();
     for (const std::uint32_t ei : solve_hits_) {
-      std::span<const double> pt = ss.entries.point(ei);
-      ++evaluated;
-      std::uint64_t object = ss.entries.object(ei);
-      double score =
-          aq.rank ? aq.rank(object) : index_lower_bound(pt, q.focus);
-      // Pooled buffer (reply_pool_): capacity survives release/acquire,
+      // Pooled buffers (reply_pool_): capacity survives release/acquire,
       // so steady-state query traffic grows nothing.
       // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
-      reply.scored.emplace_back(score, object);
+      reply.buf.ids.push_back(ss.entries.object(ei));
+      if (bound_scores) {
+        // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
+        reply.buf.scores.push_back(
+            index_lower_bound(ss.entries.point(ei), q.focus));
+      }
     }
     if (cache != nullptr) {
       // Fill-on-miss: gather the hit-list into flat scratch (copies —
@@ -622,29 +631,30 @@ void IndexPlatform::flush_reply(std::uint64_t qid, ChordNode& node) {
   ns.pending_replies -= 1;
 
   // An entry lying exactly on a split plane belongs to both sibling
-  // subqueries (closed regions), so it can be scored twice; drop
-  // duplicates before the cut or they crowd out distinct candidates.
-  std::sort(reply.scored.begin(), reply.scored.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second < b.second
-                                          : a.first < b.first;
-            });
-  reply.scored.erase(std::unique(reply.scored.begin(), reply.scored.end(),
-                                 [](const auto& a, const auto& b) {
-                                   return a.second == b.second;
-                                 }),
-                     reply.scored.end());
-  // Per-node top-k cut (paper: "the 10-nearest local results").
-  if (aq.mode == ReplyMode::kTopK && reply.scored.size() > opts_.top_k) {
-    auto cut =
-        reply.scored.begin() + static_cast<std::ptrdiff_t>(opts_.top_k);
-    std::nth_element(reply.scored.begin(), cut, reply.scored.end());
-    reply.scored.resize(opts_.top_k);
-  }
+  // subqueries (closed regions), so it can be collected twice; both
+  // branches drop duplicates so they cannot crowd out distinct ids.
+  ReplyBuffer& buf = reply.buf;
   std::vector<std::uint64_t> ids;
-  ids.reserve(reply.scored.size());
-  for (const auto& [score, object] : reply.scored) ids.push_back(object);
-  if (reply.pooled) reply_pool_.release(std::move(reply.scored));
+  if (aq.mode == ReplyMode::kTopK && buf.ids.size() > opts_.top_k) {
+    // Per-node top-k cut (paper: "the 10-nearest local results"): one
+    // batch rank call over the reply, then a bounded-heap select.
+    if (aq.rank) {
+      // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
+      buf.scores.resize(buf.ids.size());
+      aq.rank(buf.ids, buf.scores);
+    }
+    select_top_k(buf.ids, buf.scores, opts_.top_k, top_k_scratch_);
+    ids.reserve(top_k_scratch_.size());
+    for (const auto& [score, object] : top_k_scratch_) ids.push_back(object);
+  } else {
+    // Every candidate ships: scores would go unused, so none are
+    // computed.
+    std::sort(buf.ids.begin(), buf.ids.end());
+    buf.ids.erase(std::unique(buf.ids.begin(), buf.ids.end()),
+                  buf.ids.end());
+    ids.assign(buf.ids.begin(), buf.ids.end());
+  }
+  if (reply.pooled) reply_pool_.release(std::move(buf));
 
   const SchemeRouting& sch = scheme(aq.scheme);
   std::uint64_t bytes =

@@ -99,13 +99,19 @@ class IndexPlatform {
 
   using QueryCallback = std::function<void(const QueryOutcome&)>;
 
-  /// True metric distance from the query object to a stored object —
-  /// used by index nodes to rank their local candidates in kTopK mode
-  /// (the paper's distributed refinement: index nodes evaluate the
-  /// metric on their local candidates; §4.3 attributes the greedy
-  /// scheme's hotspot cost to exactly this per-node query processing).
-  /// When absent, nodes fall back to the index-space L∞ lower bound.
-  using DistanceFn = std::function<double(std::uint64_t object)>;
+  /// Batch ranking: writes out[i] = true metric distance from the query
+  /// object to objects[i]. Index nodes use it to rank their local
+  /// candidates in kTopK mode (the paper's distributed refinement:
+  /// index nodes evaluate the metric on their local candidates; §4.3
+  /// attributes the greedy scheme's hotspot cost to exactly this
+  /// per-node query processing). It runs once per (query, node) reply,
+  /// at the reply flush, and only when the reply holds more than top_k
+  /// candidates — a reply within the cut ships unranked, and kAllMatches
+  /// replies never rank. `objects` may repeat an id (an entry on a split
+  /// plane is collected by both sibling subqueries). When absent, nodes
+  /// rank by the index-space L∞ lower bound instead.
+  using RankFn = std::function<void(std::span<const std::uint64_t> objects,
+                                    std::span<double> out)>;
 
   IndexPlatform(Ring& ring, Options opts);
   explicit IndexPlatform(Ring& ring) : IndexPlatform(ring, Options{}) {}
@@ -196,13 +202,13 @@ class IndexPlatform {
   /// every contacted index node have arrived.
   void range_query(ChordNode& origin, std::uint32_t scheme,
                    const IndexPoint& center, double radius, ReplyMode mode,
-                   QueryCallback done, DistanceFn rank = {});
+                   QueryCallback done, RankFn rank = {});
 
   /// General region query (arbitrary box); `focus` seeds the fallback
-  /// top-k ranking when no DistanceFn is supplied.
+  /// top-k ranking when no RankFn is supplied.
   void region_query(ChordNode& origin, std::uint32_t scheme, Region region,
                     IndexPoint focus, ReplyMode mode, QueryCallback done,
-                    DistanceFn rank = {});
+                    RankFn rank = {});
 
   /// Queries injected but not yet completed.
   [[nodiscard]] std::size_t active_queries() const { return active_.size(); }
@@ -361,7 +367,7 @@ class IndexPlatform {
     bool got_first_reply = false;
     QueryOutcome outcome;
     QueryCallback done;
-    DistanceFn rank;
+    RankFn rank;
     // Per-node tally bumped on solve and read back per node at reply
     // flush; never iterated.
     // lmk-lint: allow(pointer-key-unordered)
@@ -369,15 +375,28 @@ class IndexPlatform {
     std::unordered_set<std::uint64_t> seen;
   };
 
+  /// Candidate ids a node collected for one reply, plus their scores.
+  /// `scores` is filled at solve time only for a kTopK query without a
+  /// RankFn (L∞ lower bound against the focus); with a RankFn it is
+  /// filled by the one rank call at flush.
+  struct ReplyBuffer {
+    std::vector<std::uint64_t> ids;
+    std::vector<double> scores;
+    void clear() {
+      ids.clear();
+      scores.clear();
+    }
+  };
+
   /// Reply under construction: candidates a node accumulated for one
   /// query across the subqueries it solved in one processing step. The
-  /// flush (a zero-delay self event) applies the per-node top-k cut and
-  /// ships ONE result message — the paper's "each queried index node
-  /// returns the 10-nearest local results".
+  /// flush (a zero-delay self event) ranks them, applies the per-node
+  /// top-k cut and ships ONE result message — the paper's "each queried
+  /// index node returns the 10-nearest local results".
   struct PendingReply {
-    std::vector<std::pair<double, std::uint64_t>> scored;
+    ReplyBuffer buf;
     bool flush_scheduled = false;
-    bool pooled = false;  ///< scored came from reply_pool_
+    bool pooled = false;  ///< buf came from reply_pool_
   };
 
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
@@ -448,9 +467,11 @@ class IndexPlatform {
   std::vector<double> cache_coords_;
   std::vector<std::uint32_t> verify_hits_;
   std::vector<std::uint64_t> verify_objs_;
-  /// Recycles the scored-candidate buffers of in-flight replies: one
-  /// acquire per (query, node) reply, released when the reply ships.
-  RecyclePool<std::vector<std::pair<double, std::uint64_t>>> reply_pool_;
+  /// Recycles the candidate buffers of in-flight replies: one acquire
+  /// per (query, node) reply, released when the reply ships.
+  RecyclePool<ReplyBuffer> reply_pool_;
+  /// flush_reply scratch: the bounded heap of the per-node top-k select.
+  std::vector<std::pair<double, std::uint64_t>> top_k_scratch_;
 };
 
 }  // namespace lmk

@@ -8,9 +8,11 @@
 //
 // The refinement step runs at the querying node: range results from the
 // index are a superset (the mapping is contractive, §3.1), so candidates
-// are re-checked with the real metric; in top-k mode the querier merges
-// the per-node candidate lists and keeps the k nearest, exactly the
-// paper's recall protocol (§4.1).
+// are re-checked with the real metric; in top-k mode each index node
+// first cuts its reply to its k nearest by true distance (one batch
+// ranking call per reply, when objects are bound), then the querier
+// merges the per-node candidate lists and keeps the k nearest, exactly
+// the paper's recall protocol (§4.1).
 #pragma once
 
 #include <algorithm>
@@ -18,7 +20,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/index_platform.hpp"
@@ -60,9 +61,11 @@ class LandmarkIndex {
   [[nodiscard]] IndexPlatform& platform() { return *platform_; }
 
   /// Bind an object store accessor. When bound, range queries hand index
-  /// nodes a true-distance ranking function (distributed refinement, the
-  /// paper's recall protocol); when unbound, nodes rank by the
-  /// index-space lower bound only.
+  /// nodes a batch true-distance ranking function (distributed
+  /// refinement, the paper's recall protocol); when unbound, nodes rank
+  /// by the index-space lower bound only. The returned references must
+  /// stay valid across one ranking batch (the ranker gathers every
+  /// candidate's pointer before measuring any of them).
   void bind_objects(ObjectFn objects) { objects_ = std::move(objects); }
 
   /// Index one object (bulk load, oracle placement).
@@ -128,18 +131,21 @@ class LandmarkIndex {
   /// retrieval; run `refine_range` on the outcome for the exact answer).
   void range_query(ChordNode& origin, const Point& q, double r,
                    ReplyMode mode, IndexPlatform::QueryCallback done) {
-    IndexPlatform::DistanceFn rank;
+    IndexPlatform::RankFn rank;
     if (objects_) {
-      // Shared per-query memo: several index nodes may rank the same
-      // candidate, and comparison sorts evaluate repeatedly.
-      auto cache =
-          std::make_shared<std::unordered_map<std::uint64_t, double>>();
-      rank = [this, q, cache](std::uint64_t id) {
-        auto it = cache->find(id);
-        if (it != cache->end()) return it->second;
-        double d = space_->distance(q, objects_(id));
-        cache->emplace(id, d);
-        return d;
+      // One call per (query, node) reply, at flush, over every candidate
+      // the reply holds. Gather the object pointers first, then measure:
+      // the corpus loads of the whole batch are independent, so their
+      // cache misses overlap instead of each stalling one distance.
+      rank = [this, q](std::span<const std::uint64_t> ids,
+                       std::span<double> out) {
+        rank_points_.resize(ids.size());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          rank_points_[i] = &objects_(ids[i]);
+        }
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          out[i] = space_->distance(q, *rank_points_[i]);
+        }
       };
     }
     platform_->range_query(origin, scheme_, mapper_.map_unclamped(q), r,
@@ -291,6 +297,9 @@ class LandmarkIndex {
   const S* space_;
   LandmarkMapper<S> mapper_;
   ObjectFn objects_;
+  /// Ranking scratch: the gathered object pointers of the current batch.
+  /// Batches never nest (the simulator is single-threaded).
+  std::vector<const Point*> rank_points_;
   std::uint32_t scheme_ = 0;
 };
 

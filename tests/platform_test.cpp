@@ -1,13 +1,19 @@
 // Platform-level semantics: dynamic updates (insert/remove), scheme
-// lifecycle (clear, boundary update), reply batching, ranking behaviour
-// and memoization, and the message byte model under batching.
+// lifecycle (clear, boundary update), reply batching, the flush-time
+// batch ranking contract and the per-node top-k select, and the message
+// byte model under batching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/index_platform.hpp"
+#include "core/top_k.hpp"
 
 namespace lmk {
 namespace {
@@ -199,11 +205,9 @@ TEST(PlatformReplies, QueryMessageBytesDecomposePerBatchModel) {
   EXPECT_GE(payload / 21, outcome->query_messages);
 }
 
-TEST(PlatformRanking, RankFunctionMemoizedPerQuery) {
-  // The platform may evaluate the ranking functional many times per
-  // candidate (comparison sorts); the typed facade memoizes per query.
-  // Here we verify the platform honours whatever functional it is given
-  // and that per-node top-k selects by it.
+TEST(PlatformRanking, BatchRankSelectsPerNodeTopK) {
+  // The platform honours whatever ranking it is given: per-node top-k
+  // selects by the RankFn's scores, not by index-space proximity.
   Stack s(1, 12);
   IndexPlatform::Options popts;
   popts.top_k = 2;
@@ -215,7 +219,11 @@ TEST(PlatformRanking, RankFunctionMemoizedPerQuery) {
   platform->insert(scheme, 2, IndexPoint{0.32});
   platform->insert(scheme, 3, IndexPoint{0.33});
   // Inverted ranking: object id 3 is "nearest".
-  auto rank = [](std::uint64_t id) { return 10.0 - static_cast<double>(id); };
+  auto rank = [](std::span<const std::uint64_t> ids, std::span<double> out) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      out[i] = 10.0 - static_cast<double>(ids[i]);
+    }
+  };
   std::optional<IndexPlatform::QueryOutcome> outcome;
   platform->range_query(*s.ring->alive_nodes()[0], scheme, IndexPoint{0.315},
                         0.05, ReplyMode::kTopK,
@@ -224,8 +232,182 @@ TEST(PlatformRanking, RankFunctionMemoizedPerQuery) {
   ASSERT_TRUE(outcome.has_value());
   std::set<std::uint64_t> got(outcome->results.begin(),
                               outcome->results.end());
-  EXPECT_TRUE(got.count(3) == 1);
-  EXPECT_TRUE(got.count(0) == 0);
+  EXPECT_EQ(got, (std::set<std::uint64_t>{2, 3}));
+}
+
+/// Rank-call bookkeeping shared by the RankFn contract tests.
+struct RankProbe {
+  std::size_t calls = 0;
+  std::size_t ranked = 0;  ///< ids handed to the RankFn, summed
+  IndexPlatform::RankFn fn() {
+    return [this](std::span<const std::uint64_t> ids, std::span<double> out) {
+      EXPECT_EQ(ids.size(), out.size());
+      ++calls;
+      ranked += ids.size();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        out[i] = static_cast<double>(ids[i] % 7);
+      }
+    };
+  }
+};
+
+/// A 16-node ring with `n` random 2-d entries and the given top_k.
+struct RankStack : Stack {
+  RankStack(std::size_t top_k, int n) : Stack(16, 21) {
+    IndexPlatform::Options popts;
+    popts.top_k = top_k;
+    platform = std::make_unique<IndexPlatform>(*ring, popts);
+    scheme = platform->register_scheme("rank", uniform_boundary(2, 0, 1),
+                                       false);
+    Rng rng(22);
+    for (int i = 0; i < n; ++i) {
+      platform->insert(scheme, static_cast<std::uint64_t>(i),
+                       IndexPoint{rng.uniform(), rng.uniform()});
+    }
+  }
+
+  IndexPlatform::QueryOutcome query(ReplyMode mode, RankProbe& probe) {
+    std::optional<IndexPlatform::QueryOutcome> outcome;
+    platform->region_query(
+        *ring->alive_nodes()[3], scheme,
+        Region{{Interval{0.1, 0.9}, Interval{0.1, 0.9}}},
+        IndexPoint{0.5, 0.5}, mode, [&](const auto& o) { outcome = o; },
+        probe.fn());
+    sim.run();
+    EXPECT_TRUE(outcome.has_value() && outcome->complete);
+    return outcome.value_or(IndexPlatform::QueryOutcome{});
+  }
+
+  std::uint32_t scheme = 0;
+};
+
+TEST(PlatformRanking, RankRunsAtMostOncePerReply) {
+  RankStack s(3, 600);
+  RankProbe probe;
+  auto outcome = s.query(ReplyMode::kTopK, probe);
+  // Several nodes answer, each with more than top_k candidates: every
+  // reply ranks exactly once, over exactly the candidates it collected.
+  ASSERT_GT(outcome.result_messages, 1u);
+  EXPECT_GT(probe.calls, 0u);
+  EXPECT_LE(probe.calls, outcome.result_messages);
+  EXPECT_LE(probe.ranked, outcome.candidates);
+  EXPECT_LE(outcome.results.size(), 3 * outcome.result_messages);
+}
+
+TEST(PlatformRanking, OverCutRepliesRankOnceOverAllTheirCandidates) {
+  // One node holding 200 entries, top_k = 4: every reply it sends
+  // exceeds the cut, so each ranks exactly once, and together the rank
+  // calls cover every collected candidate exactly once.
+  Stack s(1, 23);
+  IndexPlatform::Options popts;
+  popts.top_k = 4;
+  s.platform = std::make_unique<IndexPlatform>(*s.ring, popts);
+  auto scheme =
+      s.platform->register_scheme("one", uniform_boundary(2, 0, 1), false);
+  Rng rng(24);
+  for (int i = 0; i < 200; ++i) {
+    s.platform->insert(scheme, static_cast<std::uint64_t>(i),
+                       IndexPoint{rng.uniform(), rng.uniform()});
+  }
+  RankProbe probe;
+  std::optional<IndexPlatform::QueryOutcome> outcome;
+  s.platform->region_query(*s.ring->alive_nodes()[0], scheme,
+                           Region{{Interval{0, 1}, Interval{0, 1}}},
+                           IndexPoint{0.5, 0.5}, ReplyMode::kTopK,
+                           [&](const auto& o) { outcome = o; }, probe.fn());
+  s.sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_GE(outcome->result_messages, 1u);
+  EXPECT_EQ(probe.calls, outcome->result_messages);
+  EXPECT_EQ(probe.ranked, outcome->candidates);
+  EXPECT_GE(outcome->results.size(), 4u);
+  EXPECT_LE(outcome->results.size(), 4 * outcome->result_messages);
+}
+
+TEST(PlatformRanking, AllMatchesNeverRanks) {
+  RankStack s(3, 600);
+  RankProbe probe;
+  auto outcome = s.query(ReplyMode::kAllMatches, probe);
+  EXPECT_EQ(probe.calls, 0u);
+  EXPECT_GT(outcome.results.size(), 3 * outcome.result_messages);
+}
+
+TEST(PlatformRanking, ReplyWithinTopKShipsUnranked) {
+  // top_k above any node's candidate count: every reply ships whole and
+  // nothing is ranked; the result is the exact region match set.
+  RankStack s(1000, 300);
+  RankProbe probe;
+  auto topk = s.query(ReplyMode::kTopK, probe);
+  EXPECT_EQ(probe.calls, 0u);
+  RankProbe probe_all;
+  auto all = s.query(ReplyMode::kAllMatches, probe_all);
+  std::set<std::uint64_t> a(topk.results.begin(), topk.results.end());
+  std::set<std::uint64_t> b(all.results.begin(), all.results.end());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.size(), topk.results.size());  // no duplicate ids
+}
+
+/// Today's reference semantics of the per-node cut: sort by (id, score),
+/// keep each id's first (lowest-score) entry, keep the k smallest by
+/// (score, id); returned in ascending (score, id) order.
+std::vector<std::pair<double, std::uint64_t>> reference_top_k(
+    const std::vector<std::uint64_t>& ids, const std::vector<double>& scores,
+    std::size_t k) {
+  std::vector<std::pair<double, std::uint64_t>> v;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    v.emplace_back(scores[i], ids[i]);
+  }
+  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second < b.second : a.first < b.first;
+  });
+  v.erase(std::unique(v.begin(), v.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.second == b.second;
+                      }),
+          v.end());
+  if (v.size() > k) {
+    auto cut = v.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(v.begin(), cut, v.end());
+    v.resize(k);
+  }
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(TopKSelect, MatchesSortUniqueNthElementReference) {
+  Rng rng(31);
+  std::vector<std::pair<double, std::uint64_t>> got;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t k = 1 + rng.below(12);
+    // Sizes below, at and above k.
+    const std::size_t n = rng.below(3 * k + 2);
+    // Few distinct ids (duplicates) and few distinct scores (ties);
+    // odd trials give a repeated id the same score (a RankFn), even
+    // trials may give it different ones (per-entry bounds).
+    const std::uint64_t id_range = 1 + rng.below(n + 1);
+    const std::uint64_t score_range = 1 + rng.below(5);
+    std::vector<std::uint64_t> ids(n);
+    std::vector<double> scores(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = rng.below(id_range);
+      scores[i] = trial % 2 == 1
+                      ? static_cast<double>(ids[i] * 7 % score_range)
+                      : static_cast<double>(rng.below(score_range));
+    }
+    select_top_k(ids, scores, k, got);
+    ASSERT_EQ(got, reference_top_k(ids, scores, k))
+        << "trial " << trial << " n " << n << " k " << k;
+  }
+}
+
+TEST(TopKSelect, ZeroKAndEmptyInputSelectNothing) {
+  std::vector<std::pair<double, std::uint64_t>> got{{1.0, 1}};
+  const std::vector<std::uint64_t> ids{3, 1, 2};
+  const std::vector<double> scores{0.5, 0.25, 0.75};
+  select_top_k(ids, scores, 0, got);
+  EXPECT_TRUE(got.empty());
+  select_top_k({}, {}, 4, got);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(PlatformTraffic, CountersSeparateQueryAndResultAndMaintenance) {
