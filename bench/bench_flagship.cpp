@@ -607,8 +607,7 @@ int run() {
               static_cast<unsigned long long>(pool.high_water));
   std::printf("recall@10 (sampled, %zu queries): %.3f  (oracle %.3fs)\n",
               sampled.size(), recall_acc.mean(), t_oracle);
-  std::printf("local store: %s, %.1f scanned per subquery\n",
-              platform.local_store_name(index.scheme_id()),
+  std::printf("local store: sorted, %.1f scanned per subquery\n",
               subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0);
   std::printf("query phase: %.3fs wall, %llu sim events, %llu incomplete\n",
               t_query, static_cast<unsigned long long>(sim_events),
@@ -635,7 +634,7 @@ int run() {
       "\"pool_hits\": %llu},\n"
       "    \"recall\": {\"sampled\": %zu, \"mean\": %.6f},\n"
       "    \"subqueries_per_query\": %.6f,\n"
-      "    \"local_store\": \"%s\",\n"
+      "    \"local_store\": \"sorted\",\n"
       "    \"scanned_per_subquery\": %.6f,\n"
       "    \"incomplete\": %llu,\n"
       "    \"sim_events\": %llu%s\n"
@@ -652,7 +651,6 @@ int run() {
       static_cast<unsigned long long>(pool.acquires),
       static_cast<unsigned long long>(pool.hits), sampled.size(),
       recall_acc.mean(), subqueries.mean(),
-      platform.local_store_name(index.scheme_id()),
       subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0,
       static_cast<unsigned long long>(incomplete),
       static_cast<unsigned long long>(sim_events), serve_det);

@@ -369,97 +369,6 @@ int run() {
     }
   }
 
-  // Local-store phase: the three LocalStore backends over one large
-  // EntryStore, no network in the loop — isolates the per-node build
-  // and probe costs the end-to-end query numbers blend together. All
-  // backends answer one shared probe schedule (boxes centred on stored
-  // entries, knn foci at stored entries); the two exact backends must
-  // agree hit-for-hit on every box (order-independent digest, checked).
-  struct StoreCell {
-    double build_s = 0;
-    double range_s = 0;
-    double knn_s = 0;
-    std::uint64_t range_scanned = 0;
-    std::uint64_t range_hits = 0;
-    std::uint64_t knn_scanned = 0;
-    std::size_t bytes = 0;
-  };
-  const LocalStoreKind store_kinds[] = {LocalStoreKind::kSorted,
-                                        LocalStoreKind::kHnsw,
-                                        LocalStoreKind::kPivot};
-  StoreCell store_cells[3];
-  std::size_t store_entries =
-      env_size("LMK_STORE_ENTRIES",
-               std::min<std::size_t>(w.data.points.size(),
-                                     full_scale() ? 200000 : 20000));
-  const std::size_t store_probes =
-      env_size("LMK_STORE_PROBES", full_scale() ? 100 : 200);
-  {
-    LandmarkMapper<L2Space> mapper(w.space, kmeansN,
-                                   uniform_boundary(k, 0, w.max_dist));
-    EntryStore store;
-    for (std::size_t i = 0; i < store_entries; ++i) {
-      store.push_back(static_cast<Id>(i), i, mapper.map(w.data.points[i]));
-    }
-    Rng prng(s.seed + 21);
-    std::vector<Region> boxes;
-    std::vector<IndexPoint> foci;
-    const double width = 0.02 * w.max_dist;
-    for (std::size_t p = 0; p < store_probes; ++p) {
-      const std::span<const double> c =
-          store.point(prng.below(store.size()));
-      Region r;
-      for (std::size_t d = 0; d < c.size(); ++d) {
-        r.ranges.push_back(Interval{c[d] - width, c[d] + width});
-      }
-      boxes.push_back(std::move(r));
-      const std::span<const double> fp =
-          store.point(prng.below(store.size()));
-      foci.emplace_back(fp.begin(), fp.end());
-    }
-    std::uint64_t digests[3] = {0, 0, 0};
-    for (std::size_t ci = 0; ci < 3; ++ci) {
-      LocalStoreOptions sopts;
-      sopts.kind = store_kinds[ci];
-      auto ls = make_local_store(sopts);
-      StoreCell& cell = store_cells[ci];
-      cell.build_s = time_s([&] { ls->build(store); });
-      std::vector<std::uint32_t> out;
-      std::uint64_t digest = 1469598103934665603ULL;
-      cell.range_s = time_s([&] {
-        for (const Region& r : boxes) {
-          out.clear();
-          cell.range_scanned += ls->range(store, r, out);
-          cell.range_hits += out.size();
-          std::sort(out.begin(), out.end());
-          for (std::uint32_t hit : out) {
-            digest = (digest ^ hit) * 1099511628211ULL;
-          }
-        }
-      });
-      cell.knn_s = time_s([&] {
-        for (const IndexPoint& focus : foci) {
-          out.clear();
-          cell.knn_scanned += ls->knn(store, focus, 10, out);
-        }
-      });
-      cell.bytes = ls->memory_bytes();
-      digests[ci] = digest;
-      std::printf("store %-6s build %8.3fs  range %8.3fs "
-                  "(%7.1f scanned/probe, %llu hits)  knn %8.3fs  "
-                  "%zu B\n",
-                  local_store_kind_name(store_kinds[ci]), cell.build_s,
-                  cell.range_s,
-                  static_cast<double>(cell.range_scanned) /
-                      static_cast<double>(store_probes),
-                  static_cast<unsigned long long>(cell.range_hits),
-                  cell.knn_s, cell.bytes);
-    }
-    // Exactness: sorted and pivot returned the same hits on every box.
-    LMK_CHECK(digests[0] == digests[2]);
-    LMK_CHECK(store_cells[0].range_hits == store_cells[2].range_hits);
-  }
-
   // Serving phase: ResultCache probe storms — hit vs miss vs
   // invalidation scan vs invalidate-and-refill, isolating the serving
   // tier's per-probe cost from the end-to-end query path. The three
@@ -702,33 +611,6 @@ int run() {
                sweep.cps1(), sweep.cpsN(), sweep.speedup(),
                sweep.peak_resident, sweep.resident_cap,
                std::thread::hardware_concurrency());
-  // Per-backend local-store phase: build + probe wall times over the
-  // shared schedule, for the bench_diff local-store timing comparison.
-  std::fprintf(f,
-               ",\n  \"local_store\": {\n"
-               "    \"entries\": %zu,\n"
-               "    \"range_probes\": %zu,\n"
-               "    \"knn_probes\": %zu",
-               store_entries, store_probes, store_probes);
-  for (std::size_t ci = 0; ci < 3; ++ci) {
-    const StoreCell& cell = store_cells[ci];
-    std::fprintf(
-        f,
-        ",\n    \"%s\": {\"build_seconds\": %.6f, "
-        "\"range_seconds\": %.6f, \"knn_seconds\": %.6f, "
-        "\"scanned_per_range\": %.3f, \"range_hits\": %llu, "
-        "\"scanned_per_knn\": %.3f, \"memory_bytes\": %zu}",
-        local_store_kind_name(store_kinds[ci]), cell.build_s, cell.range_s,
-        cell.knn_s,
-        static_cast<double>(cell.range_scanned) /
-            static_cast<double>(store_probes),
-        static_cast<unsigned long long>(cell.range_hits),
-        static_cast<double>(cell.knn_scanned) /
-            static_cast<double>(store_probes),
-        cell.bytes);
-  }
-  std::fprintf(f, "\n  }");
-
   // Serving-tier cache microbench: raw ResultCache probe storms,
   // decoupled from the end-to-end overload sweep in bench_flagship.
   std::fprintf(

@@ -44,13 +44,6 @@ void IndexPlatform::set_serve_options(const ServeOptions& opts) {
 
 std::uint32_t IndexPlatform::register_scheme(const std::string& name,
                                              Boundary boundary, bool rotate) {
-  return register_scheme(name, std::move(boundary), rotate,
-                         LocalStoreOptions::from_env());
-}
-
-std::uint32_t IndexPlatform::register_scheme(
-    const std::string& name, Boundary boundary, bool rotate,
-    const LocalStoreOptions& store_opts) {
   LMK_CHECK(!boundary.empty());
   auto scheme = std::make_unique<SchemeRouting>();
   scheme->scheme_id = static_cast<std::uint32_t>(schemes_.size());
@@ -59,15 +52,15 @@ std::uint32_t IndexPlatform::register_scheme(
   scheme->query_message_bytes = query_message_size(scheme->boundary.size());
   schemes_.push_back(std::move(scheme));
   scheme_names_.push_back(name);
-  scheme_store_opts_.push_back(store_opts);
   // Existing stores grow a slot for the new scheme lazily via entries().
   return schemes_.back()->scheme_id;
 }
 
 const LocalStoreOptions& IndexPlatform::local_store_options(
     std::uint32_t id) const {
-  LMK_CHECK(id < scheme_store_opts_.size());
-  return scheme_store_opts_[id];
+  LMK_CHECK(id < schemes_.size());
+  static const LocalStoreOptions kNone;
+  return kNone;
 }
 
 void IndexPlatform::update_scheme_boundary(std::uint32_t id,
@@ -108,14 +101,9 @@ EntryStore& IndexPlatform::entries(const ChordNode& n, std::uint32_t scheme) {
   return ss.entries;
 }
 
-void IndexPlatform::ensure_local_store(SchemeStore& ss,
-                                       std::uint32_t scheme) {
-  if (ss.local == nullptr) {
-    ss.local = make_local_store(local_store_options(scheme));
-    ss.indexed_version = ~std::uint64_t{0};
-  }
+void IndexPlatform::ensure_local_store(SchemeStore& ss) {
   if (ss.indexed_version == ss.version) return;
-  ss.local->build(ss.entries);
+  ss.local.build(ss.entries);
   ss.indexed_version = ss.version;
   ++local_store_stats_.rebuilds;
   local_store_stats_.rebuilt_entries += ss.entries.size();
@@ -485,11 +473,10 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
   // contractive L-inf lower bound (the entry point is at hand now and
   // gone at flush).
   //
-  // The probe itself is delegated to the scheme's LocalStore backend
-  // (sorted order indices, HNSW graph, or pivot table — see src/store/).
-  // Every backend surfaces hits in a deterministic order that is a pure
-  // function of store contents, and the flush's dedup and select are
-  // order-independent, so results stay byte-identical per backend at any
+  // The probe itself is delegated to the node's LocalStore (sorted order
+  // indices, see src/store/). It surfaces hits in a deterministic order
+  // that is a pure function of store contents, and the flush's dedup and
+  // select are order-independent, so results stay byte-identical at any
   // thread count.
   PendingReply& reply = pending_replies_[q.qid][&node];
   if (!reply.pooled) {
@@ -518,13 +505,11 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
       cache_hit = true;
       if (serve_->options().verify_hits) {
         // Oracle cross-check (LMK_SERVE_VERIFY): re-solve and compare
-        // id sets. Sound for the exact backends (sorted, pivot); an
-        // approximate HNSW re-solve can legitimately differ after
-        // non-covering rebuilds.
+        // id sets. Sound because the local store's range probe is exact.
         SchemeStore& ss = scheme_store(node, aq.scheme);
-        ensure_local_store(ss, aq.scheme);
+        ensure_local_store(ss);
         verify_hits_.clear();
-        ss.local->range(ss.entries, q.region, verify_hits_);
+        ss.local.range(ss.entries, q.region, verify_hits_);
         verify_objs_.clear();
         verify_objs_.reserve(verify_hits_.size());
         for (const std::uint32_t ei : verify_hits_) {
@@ -553,9 +538,9 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
   }
   if (!cache_hit) {
     SchemeStore& ss = scheme_store(node, aq.scheme);
-    ensure_local_store(ss, aq.scheme);
+    ensure_local_store(ss);
     solve_hits_.clear();
-    aq.outcome.scanned += ss.local->range(ss.entries, q.region, solve_hits_);
+    aq.outcome.scanned += ss.local.range(ss.entries, q.region, solve_hits_);
     evaluated += solve_hits_.size();
     for (const std::uint32_t ei : solve_hits_) {
       // Pooled buffers (reply_pool_): capacity survives release/acquire,
@@ -829,7 +814,7 @@ std::uint64_t IndexPlatform::store_bytes() const {
   for (const auto& [node, store] : stores_) {
     for (const auto& ss : store.per_scheme) {
       total += ss.entries.memory_bytes();
-      if (ss.local != nullptr) total += ss.local->memory_bytes();
+      total += ss.local.memory_bytes();
     }
   }
   return total;

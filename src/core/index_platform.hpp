@@ -119,17 +119,9 @@ class IndexPlatform {
   // ----- scheme registry -----
 
   /// Register an index scheme; returns its id. `rotate` applies the
-  /// static space-mapping rotation φ = hash(name) (§3.4). The scheme's
-  /// per-node local stores use the process default backend
-  /// (LocalStoreOptions::from_env, i.e. the LMK_LOCAL_STORE knob).
+  /// static space-mapping rotation φ = hash(name) (§3.4).
   std::uint32_t register_scheme(const std::string& name, Boundary boundary,
                                 bool rotate);
-
-  /// Register with explicit per-scheme local-store configuration
-  /// (overrides the LMK_LOCAL_STORE process default).
-  std::uint32_t register_scheme(const std::string& name, Boundary boundary,
-                                bool rotate,
-                                const LocalStoreOptions& store_opts);
 
   /// Replace a scheme's index-space boundary (same dimensionality) —
   /// part of re-indexing against a refreshed landmark set. The scheme's
@@ -220,22 +212,16 @@ class IndexPlatform {
 
   // ----- memory accounting -----
 
-  /// Resident heap bytes of all entry stores plus their local index
-  /// structures — order indices, HNSW adjacency, or pivot tables,
-  /// whichever backend each scheme runs (the payload the flagship bench
-  /// reports).
+  /// Resident heap bytes of all entry stores plus their local stores'
+  /// sorted order indices (the payload the flagship bench reports).
   [[nodiscard]] std::uint64_t store_bytes() const;
 
   // ----- local stores -----
 
-  /// The local-store configuration scheme `id` was registered with.
+  /// Shim: one shared empty options instance for every scheme (the local
+  /// store has no options).
   [[nodiscard]] const LocalStoreOptions& local_store_options(
       std::uint32_t id) const;
-
-  /// Backend name ("sorted" / "hnsw" / "pivot") for scheme `id`.
-  [[nodiscard]] const char* local_store_name(std::uint32_t id) const {
-    return local_store_kind_name(local_store_options(id).kind);
-  }
 
   /// Cumulative local-store (re)build counters across all nodes and
   /// schemes — migration/rotation churn shows up as extra rebuilds.
@@ -333,16 +319,15 @@ class IndexPlatform {
 
  private:
   /// One scheme's entries on one node, plus a lazily rebuilt LocalStore
-  /// (sorted order indices, HNSW graph, or pivot table — per-scheme
-  /// config). on_solve probes the LocalStore instead of scanning the
-  /// whole store. Mutations just bump `version`; the structure is
-  /// rebuilt on the first solve that finds it stale (stores churn in
-  /// bursts between query batches, so one rebuild amortizes over the
-  /// whole batch — this is also what keeps migration/rotation working
-  /// unchanged across every backend).
+  /// (sorted order indices). on_solve probes the LocalStore instead of
+  /// scanning the whole store. Mutations just bump `version`; the
+  /// structure is rebuilt on the first solve that finds it stale (stores
+  /// churn in bursts between query batches, so one rebuild amortizes
+  /// over the whole batch — this is also what keeps migration/rotation
+  /// working unchanged).
   struct SchemeStore {
     EntryStore entries;
-    std::unique_ptr<LocalStore> local;
+    LocalStore local;
     std::uint64_t version = 0;
     std::uint64_t indexed_version = ~std::uint64_t{0};
   };
@@ -405,9 +390,9 @@ class IndexPlatform {
   /// Mutable entry store; bumps the store version so the local store
   /// rebuilds before the next solve. All writers must come through here.
   EntryStore& entries(const ChordNode& n, std::uint32_t scheme);
-  /// Instantiate the scheme's configured backend on first use and
-  /// rebuild it if the entry store mutated since the last probe.
-  void ensure_local_store(SchemeStore& ss, std::uint32_t scheme);
+  /// Rebuild the local store if the entry store mutated since the last
+  /// probe.
+  void ensure_local_store(SchemeStore& ss);
   /// Serving-tier dispatcher: admission control and queueing in front
   /// of the actual solve. With the tier off it is a tail call into
   /// solve_subquery — byte-identical to the pre-serve behavior.
@@ -438,7 +423,6 @@ class IndexPlatform {
   Options opts_;
   std::vector<std::unique_ptr<SchemeRouting>> schemes_;
   std::vector<std::string> scheme_names_;
-  std::vector<LocalStoreOptions> scheme_store_opts_;  // parallel to schemes_
   LocalStoreBuildStats local_store_stats_;
   /// on_solve scratch: entry indices the local store surfaced for the
   /// current subquery. One buffer suffices — solves never nest.

@@ -5,15 +5,16 @@
 //
 // Correctness model: a cached hit-list is valid exactly as long as no
 // entry whose point *covers* the cached region (L∞ point-to-box
-// distance zero — the same predicate the HNSW range beam ranks by) has
-// been inserted into or removed from the node since the fill. Every
-// mutation path in IndexPlatform therefore either reports the affected
-// points (`invalidate_point`) or, for bulk moves where per-point
-// reporting would cost more than refilling (drain, transfer, scheme
-// clear, replication repair), wipes the whole per-scheme cache
-// (`invalidate_all`). Stale hits are a correctness bug, not a quality
-// knob: serve_test.cpp cross-checks every cached answer against a
-// brute-force oracle, and LMK_SERVE_VERIFY re-solves hits in-line.
+// distance zero: the point lies in the closed box the local store's
+// range probe matches) has been inserted into or removed from the node
+// since the fill. Every mutation path in IndexPlatform therefore either
+// reports the affected points (`invalidate_point`) or, for bulk moves
+// where per-point reporting would cost more than refilling (drain,
+// transfer, scheme clear, replication repair), wipes the whole
+// per-scheme cache (`invalidate_all`). Stale hits are a correctness
+// bug, not a quality knob: serve_test.cpp cross-checks every cached
+// answer against a brute-force oracle, and LMK_SERVE_VERIFY re-solves
+// hits in-line.
 //
 // Determinism: fixed slot budget, linear probe (slot order never
 // depends on pointer values or hash-map iteration), LRU by a local

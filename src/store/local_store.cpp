@@ -1,67 +1,91 @@
 #include "store/local_store.hpp"
 
-#include <cstdlib>
-
-#include "common/check.hpp"
-#include "store/hnsw_store.hpp"
-#include "store/pivot_store.hpp"
-#include "store/sorted_store.hpp"
+#include <algorithm>
 
 namespace lmk {
 
-const char* local_store_kind_name(LocalStoreKind kind) {
-  switch (kind) {
-    case LocalStoreKind::kSorted:
-      return "sorted";
-    case LocalStoreKind::kHnsw:
-      return "hnsw";
-    case LocalStoreKind::kPivot:
-      return "pivot";
+void LocalStore::build(const EntryStore& entries) {
+  const std::size_t dims = entries.dims();
+  order_.assign(dims, {});
+  const auto n = static_cast<std::uint32_t>(entries.size());
+  for (std::size_t d = 0; d < dims; ++d) order_[d].reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::span<const double> p = entries.point(i);
+    for (std::size_t d = 0; d < dims; ++d) {
+      order_[d].emplace_back(p[d], i);
+    }
   }
-  LMK_CHECK_MSG(false, "invalid LocalStoreKind");
-  return "?";
+  for (std::size_t d = 0; d < dims; ++d) {
+    std::sort(order_[d].begin(), order_[d].end());
+  }
 }
 
-bool parse_local_store_kind(std::string_view name, LocalStoreKind* out) {
-  if (name == "sorted") {
-    *out = LocalStoreKind::kSorted;
-    return true;
+// lmk-hot-path: range runs once per subquery per index node — the
+// per-event cost of the whole query storm. The alloc-guard bench gate
+// holds the solver path to zero steady-state allocations.
+std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
+                              std::vector<std::uint32_t>& out) const {
+  // An empty store indexes zero dimensions; nothing can match.
+  if (order_.empty()) return 0;
+  const std::size_t dims = order_.size();
+  std::size_t best_d = 0;
+  std::size_t best_lo = 0;
+  std::size_t best_hi = 0;
+  std::size_t best_count = entries.size() + 1;
+  for (std::size_t d = 0; d < dims; ++d) {
+    const auto& ord = order_[d];
+    const Interval& r = region.ranges[d];
+    auto lo = std::lower_bound(
+        ord.begin(), ord.end(), r.lo,
+        [](const std::pair<double, std::uint32_t>& p, double v) {
+          return p.first < v;
+        });
+    auto hi = std::upper_bound(
+        lo, ord.end(), r.hi,
+        [](double v, const std::pair<double, std::uint32_t>& p) {
+          return v < p.first;
+        });
+    auto count = static_cast<std::size_t>(hi - lo);
+    if (count < best_count) {
+      best_count = count;
+      best_d = d;
+      best_lo = static_cast<std::size_t>(lo - ord.begin());
+      best_hi = static_cast<std::size_t>(hi - ord.begin());
+    }
   }
-  if (name == "hnsw") {
-    *out = LocalStoreKind::kHnsw;
-    return true;
+  const auto& ord = order_[best_d];
+  for (std::size_t k = best_lo; k < best_hi; ++k) {
+    const std::uint32_t ei = ord[k].second;
+    std::span<const double> pt = entries.point(ei);
+    bool inside = true;
+    for (std::size_t d = 0; d < pt.size(); ++d) {
+      if (d == best_d) continue;  // the slice already satisfies best_d
+      const Interval& r = region.ranges[d];
+      if (pt[d] < r.lo || pt[d] > r.hi) {
+        inside = false;
+        break;
+      }
+    }
+    if (!inside) continue;
+    // Caller-owned hit buffer; capacity survives across probes.
+    // lmk-lint: allow(hot-alloc) pooled-buffer capacity warmup
+    out.push_back(ei);
   }
-  if (name == "pivot") {
-    *out = LocalStoreKind::kPivot;
-    return true;
+  return best_count;
+}
+// lmk-hot-path-end
+
+std::size_t LocalStore::memory_bytes() const {
+  std::size_t bytes = order_.capacity() * sizeof(order_[0]);
+  for (const auto& ord : order_) {
+    bytes += ord.capacity() * sizeof(std::pair<double, std::uint32_t>);
   }
-  return false;
+  return bytes;
 }
 
-LocalStoreOptions LocalStoreOptions::from_env() {
-  LocalStoreOptions opts;
-  // Configuration input, not entropy: the same environment always yields
-  // the same backend, and CI pins it explicitly per leg.
-  const char* env = std::getenv("LMK_LOCAL_STORE");
-  if (env != nullptr && *env != '\0') {
-    LMK_CHECK_MSG(parse_local_store_kind(env, &opts.kind),
-                  "LMK_LOCAL_STORE must be sorted|hnsw|pivot, got \"%s\"",
-                  env);
-  }
-  return opts;
-}
-
-std::unique_ptr<LocalStore> make_local_store(const LocalStoreOptions& opts) {
-  switch (opts.kind) {
-    case LocalStoreKind::kSorted:
-      return std::make_unique<SortedStore>();
-    case LocalStoreKind::kHnsw:
-      return std::make_unique<HnswStore>(opts);
-    case LocalStoreKind::kPivot:
-      return std::make_unique<PivotStore>(opts);
-  }
-  LMK_CHECK_MSG(false, "invalid LocalStoreKind");
-  return nullptr;
+std::unique_ptr<LocalStore> make_local_store(
+    const LocalStoreOptions& /*opts*/) {
+  return std::make_unique<LocalStore>();
 }
 
 }  // namespace lmk

@@ -1,24 +1,13 @@
-// Per-node local index abstraction. Each (node, scheme) pair owns an
-// EntryStore (the SoA rows) plus a LocalStore: an index structure over
-// those rows that answers the solver's box/knn probes without a full
-// scan. Backends trade exactness, build cost, and memory:
+// Per-node local index. Each (node, scheme) pair owns an EntryStore (the
+// SoA rows) plus a LocalStore: per-dimension sorted order indices over
+// those rows. A range probe binary-searches every dimension and walks
+// only the most selective slice, so it answers the solver's box probes
+// exactly without a full scan.
 //
-//   kSorted  exact        per-dimension sorted order indices; binary-search
-//                         the most selective dimension and walk its slice
-//                         (the pre-PR-9 solver behaviour, re-homed).
-//   kHnsw    approximate  hierarchical navigable small world graph over the
-//                         index points (L-inf metric); sub-linear descent,
-//                         recall governed by ef_search.
-//   kPivot   exact        LAESA-style pivot table; triangle-inequality
-//                         lower bounds from precomputed pivot distances
-//                         prune candidates before any coordinate is read.
-//
-// Determinism contract (all backends): given the same EntryStore contents
-// and options, `build` produces the same structure and `range`/`knn` emit
-// the same indices in the same order, independent of LMK_THREADS, node
-// identity, and insertion history. HNSW pins its randomness to the stored
-// object ids (level = f(seed, object)), so a migrated entry rebuilds at
-// the same level on its new owner.
+// Determinism contract: given the same EntryStore contents, `build`
+// produces the same structure and `range` emits the same indices in the
+// same order, independent of LMK_THREADS, node identity, and insertion
+// history.
 //
 // Mutation protocol: LocalStore never observes mutations directly. The
 // platform bumps a version counter on every EntryStore writer and lazily
@@ -29,8 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/entry_store.hpp"
@@ -38,39 +26,8 @@
 
 namespace lmk {
 
-enum class LocalStoreKind : std::uint8_t { kSorted, kHnsw, kPivot };
-
-/// Stable lower-case name ("sorted" / "hnsw" / "pivot") for logs and JSON.
-[[nodiscard]] const char* local_store_kind_name(LocalStoreKind kind);
-
-/// Parse a backend name as accepted by LMK_LOCAL_STORE. Returns false
-/// (and leaves `out` untouched) for unknown names.
-[[nodiscard]] bool parse_local_store_kind(std::string_view name,
-                                          LocalStoreKind* out);
-
-/// Per-scheme backend selection and tuning knobs. Defaults come from the
-/// environment (LMK_LOCAL_STORE) so whole-process experiments can switch
-/// backend without a recompile; explicit per-scheme options win.
-struct LocalStoreOptions {
-  LocalStoreKind kind = LocalStoreKind::kSorted;
-
-  // HNSW: max neighbours per layer (layer 0 gets 2*m), and the candidate
-  // beam widths for construction and search.
-  std::size_t hnsw_m = 8;
-  std::size_t hnsw_ef_construction = 64;
-  std::size_t hnsw_ef_search = 64;
-
-  // Pivot table: number of pivots (capped by the store size at build).
-  std::size_t pivots = 8;
-
-  // Base seed for determinism-pinned randomness (HNSW level assignment).
-  // Mixed with the stored object id, never with the entry position.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-
-  /// Defaults with `kind` overridden by LMK_LOCAL_STORE when set.
-  /// Aborts on an unknown backend name (configuration error).
-  [[nodiscard]] static LocalStoreOptions from_env();
-};
+/// Configuration shim with no fields; the local store has no options.
+struct LocalStoreOptions {};
 
 /// Cumulative (re)build accounting, aggregated platform-wide: how many
 /// times any per-(node, scheme) structure was built and how many entries
@@ -80,49 +37,33 @@ struct LocalStoreBuildStats {
   std::uint64_t rebuilt_entries = 0;
 };
 
-/// Index structure over one EntryStore. Probes report `scanned` — the
-/// number of stored entries whose coordinates were examined — so callers
-/// can account pruning effectiveness uniformly across backends.
+/// Sorted order indices over one EntryStore. `range` reports `scanned` —
+/// the number of stored entries whose coordinates were examined.
 class LocalStore {
  public:
-  LocalStore() = default;
-  LocalStore(const LocalStore&) = delete;
-  LocalStore& operator=(const LocalStore&) = delete;
-  virtual ~LocalStore() = default;
-
-  [[nodiscard]] virtual LocalStoreKind kind() const = 0;
-  [[nodiscard]] const char* name() const {
-    return local_store_kind_name(kind());
-  }
-
-  /// True when `range` returns exactly the entries inside the region.
-  /// Approximate backends (HNSW) may miss matches but never invent them.
-  [[nodiscard]] virtual bool exact() const = 0;
-
   /// (Re)index the store's current rows. Reads coordinates through
-  /// EntryStore spans only; must leave the structure probe-ready even for
-  /// an empty store. Scratch buffers are reserved here so probes run
-  /// allocation-free at steady state.
-  virtual void build(const EntryStore& entries) = 0;
+  /// EntryStore spans only; leaves the structure probe-ready even for
+  /// an empty store.
+  void build(const EntryStore& entries);
 
   /// Append the indices of entries whose point lies in the closed region
-  /// to `out` (not cleared) in a deterministic backend-specific order.
-  /// Returns the number of entries scanned.
-  virtual std::size_t range(const EntryStore& entries, const Region& region,
-                            std::vector<std::uint32_t>& out) = 0;
-
-  /// Append the indices of (up to) the k entries nearest `focus` under the
-  /// index-space L-inf metric, ordered by (distance, entry index), to
-  /// `out` (not cleared). Returns the number of entries scanned.
-  virtual std::size_t knn(const EntryStore& entries,
-                          std::span<const double> focus, std::size_t k,
-                          std::vector<std::uint32_t>& out) = 0;
+  /// to `out` (not cleared), in ascending order of the most selective
+  /// dimension. Returns the number of entries scanned.
+  std::size_t range(const EntryStore& entries, const Region& region,
+                    std::vector<std::uint32_t>& out) const;
 
   /// Resident heap bytes of the index structure (excluding the EntryStore).
-  [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
+  [[nodiscard]] std::size_t memory_bytes() const;
+
+ private:
+  // order_[d] holds (coordinate d, entry index) sorted ascending; the
+  // pair order breaks value ties by entry index, so the scan order — and
+  // therefore the whole simulation — is independent of the sort
+  // algorithm's handling of equal values.
+  std::vector<std::vector<std::pair<double, std::uint32_t>>> order_;
 };
 
-/// Instantiate the backend selected by `opts.kind`.
+/// Shim for callers that still construct stores through a factory.
 [[nodiscard]] std::unique_ptr<LocalStore> make_local_store(
     const LocalStoreOptions& opts);
 

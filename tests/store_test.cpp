@@ -1,33 +1,22 @@
-// LocalStore backends: conformance suite shared by all three backends
-// (containment, determinism, rebuild semantics), pivot-table exactness
-// as a property over random mutation traces (including the migration
-// extract_if path), HNSW recall and determinism pins, and the
-// platform's rebuild-on-mutation accounting.
+// LocalStore: range containment, completeness, determinism and memory
+// accounting, exactness as a property over random mutation traces
+// (including the migration extract_if path), and the platform's
+// rebuild-on-mutation accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <optional>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/index_platform.hpp"
-#include "store/hnsw_store.hpp"
 #include "store/local_store.hpp"
 
 namespace lmk {
 namespace {
-
-constexpr LocalStoreKind kAllKinds[] = {
-    LocalStoreKind::kSorted, LocalStoreKind::kHnsw, LocalStoreKind::kPivot};
-
-LocalStoreOptions options_for(LocalStoreKind kind) {
-  LocalStoreOptions opts;
-  opts.kind = kind;
-  return opts;
-}
 
 EntryStore random_store(Rng& rng, std::size_t n, std::size_t dims) {
   EntryStore s;
@@ -63,55 +52,25 @@ std::vector<std::uint32_t> brute_range(const EntryStore& s, const Region& r) {
   return out;
 }
 
-double linf(std::span<const double> a, std::span<const double> b) {
-  double d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, std::abs(a[i] - b[i]));
-  }
-  return d;
-}
-
-std::vector<std::uint32_t> brute_knn(const EntryStore& s,
-                                     std::span<const double> focus,
-                                     std::size_t k) {
-  std::vector<std::pair<double, std::uint32_t>> scored;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    scored.emplace_back(linf(s.point(i), focus),
-                        static_cast<std::uint32_t>(i));
-  }
-  std::sort(scored.begin(), scored.end());
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < std::min(k, scored.size()); ++i) {
-    out.push_back(scored[i].second);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------
-// Conformance: properties every backend must satisfy.
+// Conformance: range is exact, deterministic and accounted.
 
 TEST(LocalStoreConformance, RangeReturnsOnlyContainedEntriesNoDuplicates) {
   Rng rng(11);
   EntryStore store = random_store(rng, 500, 4);
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(store);
-    for (int t = 0; t < 20; ++t) {
-      const Region r = random_region(rng, 4, 0.3);
-      std::vector<std::uint32_t> out;
-      ls->range(store, r, out);
-      std::set<std::uint32_t> seen;
-      for (std::uint32_t i : out) {
-        EXPECT_TRUE(inside(store.point(i), r)) << ls->name();
-        EXPECT_TRUE(seen.insert(i).second)
-            << ls->name() << " returned entry " << i << " twice";
-      }
-      if (ls->exact()) {
-        const auto truth = brute_range(store, r);
-        EXPECT_EQ(seen, std::set<std::uint32_t>(truth.begin(), truth.end()))
-            << ls->name();
-      }
+  LocalStore ls;
+  ls.build(store);
+  for (int t = 0; t < 20; ++t) {
+    const Region r = random_region(rng, 4, 0.3);
+    std::vector<std::uint32_t> out;
+    ls.range(store, r, out);
+    std::set<std::uint32_t> seen;
+    for (std::uint32_t i : out) {
+      EXPECT_TRUE(inside(store.point(i), r));
+      EXPECT_TRUE(seen.insert(i).second) << "entry " << i << " twice";
     }
+    const auto truth = brute_range(store, r);
+    EXPECT_EQ(seen, std::set<std::uint32_t>(truth.begin(), truth.end()));
   }
 }
 
@@ -119,33 +78,23 @@ TEST(LocalStoreConformance, RepeatedProbesAndRebuildsAreDeterministic) {
   Rng rng(12);
   EntryStore store = random_store(rng, 300, 3);
   const Region r = random_region(rng, 3, 0.4);
-  const IndexPoint focus{0.5, 0.5, 0.5};
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(store);
-    std::vector<std::uint32_t> range1, range2, knn1, knn2;
-    ls->range(store, r, range1);
-    ls->range(store, r, range2);
-    ls->knn(store, focus, 10, knn1);
-    ls->knn(store, focus, 10, knn2);
-    EXPECT_EQ(range1, range2) << ls->name();
-    EXPECT_EQ(knn1, knn2) << ls->name();
-    // A second build from the same rows reproduces the same structure.
-    ls->build(store);
-    std::vector<std::uint32_t> range3, knn3;
-    ls->range(store, r, range3);
-    ls->knn(store, focus, 10, knn3);
-    EXPECT_EQ(range1, range3) << ls->name();
-    EXPECT_EQ(knn1, knn3) << ls->name();
-    // A fresh instance with the same options agrees too.
-    auto other = make_local_store(options_for(kind));
-    other->build(store);
-    std::vector<std::uint32_t> range4, knn4;
-    other->range(store, r, range4);
-    other->knn(store, focus, 10, knn4);
-    EXPECT_EQ(range1, range4) << ls->name();
-    EXPECT_EQ(knn1, knn4) << ls->name();
-  }
+  LocalStore ls;
+  ls.build(store);
+  std::vector<std::uint32_t> range1, range2;
+  ls.range(store, r, range1);
+  ls.range(store, r, range2);
+  EXPECT_EQ(range1, range2);
+  // A second build from the same rows reproduces the same structure.
+  ls.build(store);
+  std::vector<std::uint32_t> range3;
+  ls.range(store, r, range3);
+  EXPECT_EQ(range1, range3);
+  // A fresh instance agrees too.
+  LocalStore other;
+  other.build(store);
+  std::vector<std::uint32_t> range4;
+  other.range(store, r, range4);
+  EXPECT_EQ(range1, range4);
 }
 
 TEST(LocalStoreConformance, EmptyAndTinyStores) {
@@ -153,61 +102,39 @@ TEST(LocalStoreConformance, EmptyAndTinyStores) {
   EntryStore one;
   one.push_back(7, 42, IndexPoint{0.5, 0.5});
   const Region all{{Interval{0, 1}, Interval{0, 1}}};
-  const IndexPoint focus{0.4, 0.6};
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(empty);
-    std::vector<std::uint32_t> out;
-    EXPECT_EQ(ls->range(empty, all, out), 0u) << ls->name();
-    EXPECT_TRUE(out.empty()) << ls->name();
-    EXPECT_EQ(ls->knn(empty, focus, 5, out), 0u) << ls->name();
-    EXPECT_TRUE(out.empty()) << ls->name();
+  LocalStore ls;
+  std::vector<std::uint32_t> out;
+  // Never built: probe-safe and empty.
+  EXPECT_EQ(ls.range(empty, all, out), 0u);
+  EXPECT_EQ(ls.memory_bytes(), 0u);
+  ls.build(empty);
+  EXPECT_EQ(ls.range(empty, all, out), 0u);
+  EXPECT_TRUE(out.empty());
 
-    ls->build(one);
-    out.clear();
-    ls->range(one, all, out);
-    EXPECT_EQ(out, std::vector<std::uint32_t>{0}) << ls->name();
-    out.clear();
-    ls->knn(one, focus, 5, out);
-    EXPECT_EQ(out, std::vector<std::uint32_t>{0}) << ls->name();
-  }
+  ls.build(one);
+  ls.range(one, all, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 }
 
 TEST(LocalStoreConformance, MemoryBytesReflectsBuiltStructure) {
   Rng rng(13);
   EntryStore store = random_store(rng, 400, 5);
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    ls->build(store);
-    EXPECT_GT(ls->memory_bytes(), 0u) << ls->name();
-  }
-}
-
-TEST(LocalStoreConformance, ExactBackendsMatchBruteForceKnn) {
-  Rng rng(14);
-  EntryStore store = random_store(rng, 600, 3);
-  for (LocalStoreKind kind : kAllKinds) {
-    auto ls = make_local_store(options_for(kind));
-    if (!ls->exact()) continue;
-    ls->build(store);
-    for (int t = 0; t < 10; ++t) {
-      IndexPoint focus{rng.uniform(), rng.uniform(), rng.uniform()};
-      std::vector<std::uint32_t> out;
-      ls->knn(store, focus, 10, out);
-      EXPECT_EQ(out, brute_knn(store, focus, 10)) << ls->name();
-    }
-  }
+  LocalStore ls;
+  ls.build(store);
+  // Five order arrays of 400 (coordinate, index) pairs, at least.
+  EXPECT_GE(ls.memory_bytes(),
+            5 * 400 * sizeof(std::pair<double, std::uint32_t>));
 }
 
 // ---------------------------------------------------------------------
-// Pivot table: exactness as a property over random mutation traces,
-// including the extract_if migration path the platform uses.
+// Exactness as a property over random mutation traces, including the
+// extract_if migration path the platform uses.
 
-TEST(PivotStoreProperty, ExactUnderRandomMutationTraces) {
+TEST(LocalStoreProperty, ExactUnderRandomMutationTraces) {
   Rng rng(21);
   EntryStore store;
   EntryStore migrated;  // extract_if destination (the "new owner")
-  auto pivot = make_local_store(options_for(LocalStoreKind::kPivot));
+  LocalStore ls;
   std::uint64_t next_object = 0;
   for (int step = 0; step < 40; ++step) {
     // A burst of mutations, shaped like platform traffic: mostly
@@ -233,162 +160,15 @@ TEST(PivotStoreProperty, ExactUnderRandomMutationTraces) {
       if (rng.uniform() < 0.5) store.append_moved(migrated);
     }
     // Rebuild-on-mutation, then exactness against brute force.
-    pivot->build(store);
+    ls.build(store);
     for (int q = 0; q < 5; ++q) {
       const Region r = random_region(rng, 3, 0.25 + 0.5 * rng.uniform());
       std::vector<std::uint32_t> got;
-      pivot->range(store, r, got);
+      ls.range(store, r, got);
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, brute_range(store, r)) << "step " << step;
-      IndexPoint focus{rng.uniform(), rng.uniform(), rng.uniform()};
-      std::vector<std::uint32_t> knn_got;
-      pivot->knn(store, focus, 5, knn_got);
-      EXPECT_EQ(knn_got, brute_knn(store, focus, 5)) << "step " << step;
     }
   }
-}
-
-TEST(PivotStoreProperty, PrunesAgainstFullScan) {
-  Rng rng(22);
-  // Clustered data and selective boxes: the triangle-inequality bound
-  // must skip most entries (this is the backend's whole point).
-  EntryStore store;
-  for (std::size_t i = 0; i < 2000; ++i) {
-    const double cx = (i % 4) * 0.25 + 0.1;
-    IndexPoint pt{cx + 0.02 * rng.uniform(), cx + 0.02 * rng.uniform()};
-    store.push_back(static_cast<Id>(rng.next()), i, pt);
-  }
-  auto pivot = make_local_store(options_for(LocalStoreKind::kPivot));
-  pivot->build(store);
-  std::vector<std::uint32_t> out;
-  const std::size_t scanned =
-      pivot->range(store, Region{{Interval{0.1, 0.13}, Interval{0.1, 0.13}}},
-                   out);
-  EXPECT_LT(scanned, store.size() / 2);
-  EXPECT_FALSE(out.empty());
-}
-
-// ---------------------------------------------------------------------
-// HNSW: determinism pins and recall floor.
-
-TEST(HnswStoreTest, LevelIsPureFunctionOfSeedAndObject) {
-  LocalStoreOptions opts = options_for(LocalStoreKind::kHnsw);
-  HnswStore a(opts), b(opts);
-  Rng rng(31);
-  int top = 0;
-  for (int t = 0; t < 2000; ++t) {
-    const std::uint64_t object = rng.next();
-    // Same (seed, object) -> same level, on any instance: the pin that
-    // keeps a migrated entry at its level on the new owner.
-    EXPECT_EQ(a.level_for_object(object), b.level_for_object(object));
-    top = std::max(top, a.level_for_object(object));
-  }
-  EXPECT_GE(top, 1);  // the distribution actually uses upper layers
-  LocalStoreOptions reseeded = opts;
-  reseeded.seed ^= 0x1234567;
-  HnswStore c(reseeded);
-  int differ = 0;
-  Rng rng2(31);
-  for (int t = 0; t < 2000; ++t) {
-    const std::uint64_t object = rng2.next();
-    differ += (a.level_for_object(object) != c.level_for_object(object));
-  }
-  EXPECT_GT(differ, 0);  // the seed genuinely participates
-}
-
-TEST(HnswStoreTest, KnnRecallFloorOnClusteredData) {
-  Rng rng(32);
-  EntryStore store;
-  // Overlapping clusters (deviation larger than spacing), the regime
-  // landmark contraction produces. Hard-separated clusters stress
-  // greedy traversal across the connectivity bridges instead and are
-  // covered by the reachability test below plus the ablation bench's
-  // recall metric.
-  for (std::size_t i = 0; i < 2000; ++i) {
-    const std::size_t c = rng.below(8);
-    IndexPoint pt(6);
-    for (std::size_t d = 0; d < 6; ++d) {
-      pt[d] = 0.1 + 0.1 * static_cast<double>(c) + 0.25 * rng.uniform();
-    }
-    store.push_back(static_cast<Id>(rng.next()), i, pt);
-  }
-  LocalStoreOptions opts = options_for(LocalStoreKind::kHnsw);
-  opts.hnsw_m = 8;
-  opts.hnsw_ef_construction = 128;
-  opts.hnsw_ef_search = 64;
-  auto hnsw = make_local_store(opts);
-  hnsw->build(store);
-  double hit = 0, total = 0;
-  for (int q = 0; q < 50; ++q) {
-    IndexPoint focus(6);
-    const std::size_t c = rng.below(8);
-    for (std::size_t d = 0; d < 6; ++d) {
-      focus[d] = 0.1 + 0.1 * static_cast<double>(c) + 0.25 * rng.uniform();
-    }
-    std::vector<std::uint32_t> got;
-    hnsw->knn(store, focus, 10, got);
-    const auto truth = brute_knn(store, focus, 10);
-    for (std::uint32_t i : got) {
-      hit += std::count(truth.begin(), truth.end(), i) > 0 ? 1.0 : 0.0;
-    }
-    total += static_cast<double>(truth.size());
-  }
-  EXPECT_GE(hit / total, 0.95);
-}
-
-TEST(HnswStoreTest, ReachesEveryEntryAcrossSeparatedClusters) {
-  Rng rng(34);
-  EntryStore store;
-  // Hard-separated clusters: closest-first neighbour selection alone
-  // links nothing across the gaps, so this exercises the build-time
-  // connectivity repair. An exhaustive probe (k = n, beam = n) must
-  // reach every stored entry.
-  for (std::size_t i = 0; i < 600; ++i) {
-    const std::size_t c = rng.below(6);
-    IndexPoint pt(4);
-    for (std::size_t d = 0; d < 4; ++d) {
-      pt[d] = 0.15 * static_cast<double>(c) + 0.02 * rng.uniform();
-    }
-    store.push_back(static_cast<Id>(rng.next()), i, pt);
-  }
-  LocalStoreOptions opts = options_for(LocalStoreKind::kHnsw);
-  opts.hnsw_m = 4;
-  auto hnsw = make_local_store(opts);
-  hnsw->build(store);
-  std::vector<std::uint32_t> got;
-  hnsw->knn(store, IndexPoint{0.5, 0.5, 0.5, 0.5}, store.size(), got);
-  EXPECT_EQ(got.size(), store.size());
-}
-
-TEST(HnswStoreTest, ResultsOrderedByDistanceThenIndex) {
-  Rng rng(33);
-  EntryStore store = random_store(rng, 800, 4);
-  auto hnsw = make_local_store(options_for(LocalStoreKind::kHnsw));
-  hnsw->build(store);
-  const IndexPoint focus{0.5, 0.5, 0.5, 0.5};
-  std::vector<std::uint32_t> got;
-  hnsw->knn(store, focus, 20, got);
-  ASSERT_FALSE(got.empty());
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    const double prev = linf(store.point(got[i - 1]), focus);
-    const double cur = linf(store.point(got[i]), focus);
-    EXPECT_TRUE(prev < cur || (prev == cur && got[i - 1] < got[i]));
-  }
-}
-
-// ---------------------------------------------------------------------
-// Backend naming / selection plumbing.
-
-TEST(LocalStoreNaming, NamesRoundTripThroughParse) {
-  for (LocalStoreKind kind : kAllKinds) {
-    LocalStoreKind parsed = LocalStoreKind::kSorted;
-    EXPECT_TRUE(parse_local_store_kind(local_store_kind_name(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  LocalStoreKind out = LocalStoreKind::kPivot;
-  EXPECT_FALSE(parse_local_store_kind("btree", &out));
-  EXPECT_FALSE(parse_local_store_kind("", &out));
-  EXPECT_EQ(out, LocalStoreKind::kPivot);  // untouched on failure
 }
 
 // ---------------------------------------------------------------------
@@ -421,10 +201,8 @@ struct Stack {
 
 TEST(LocalStorePlatform, RebuildsLazilyOncePerMutatedStore) {
   Stack s(8, 5);
-  LocalStoreOptions store_opts;
-  store_opts.kind = LocalStoreKind::kPivot;
-  auto scheme = s.platform->register_scheme(
-      "acct", uniform_boundary(2, 0, 1), false, store_opts);
+  auto scheme =
+      s.platform->register_scheme("acct", uniform_boundary(2, 0, 1), false);
   Rng rng(6);
   for (int i = 0; i < 64; ++i) {
     s.platform->insert(scheme, static_cast<std::uint64_t>(i),
