@@ -40,14 +40,18 @@ void EntryStore::erase_at(std::size_t i) {
   ++mutations_;
 }
 
-bool EntryStore::erase_first(std::uint64_t object, Id key) {
+std::size_t EntryStore::find(std::uint64_t object, Id key) const {
   for (std::size_t i = 0; i < size(); ++i) {
-    if (objects_[i] == object && keys_[i] == key) {
-      erase_at(i);
-      return true;
-    }
+    if (objects_[i] == object && keys_[i] == key) return i;
   }
-  return false;
+  return npos;
+}
+
+bool EntryStore::erase_first(std::uint64_t object, Id key) {
+  const std::size_t i = find(object, key);
+  if (i == npos) return false;
+  erase_at(i);
+  return true;
 }
 
 void EntryStore::clear() {

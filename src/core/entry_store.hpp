@@ -51,6 +51,8 @@ class CheckedEntryView;
 /// checked on every subsequent one; an empty store accepts any.
 class EntryStore {
  public:
+  static constexpr std::size_t npos = ~std::size_t{0};
+
   EntryStore() = default;
 
   [[nodiscard]] std::size_t size() const { return keys_.size(); }
@@ -102,6 +104,8 @@ class EntryStore {
   /// Remove entry i, shifting later entries down (order-preserving,
   /// like vector::erase).
   void erase_at(std::size_t i);
+  /// Index of the first entry matching (object, key), or npos.
+  [[nodiscard]] std::size_t find(std::uint64_t object, Id key) const;
   /// Remove the first entry matching (object, key); false if absent.
   bool erase_first(std::uint64_t object, Id key);
   void set_key(std::size_t i, Id k) { keys_[i] = k; }

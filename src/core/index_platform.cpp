@@ -101,6 +101,29 @@ EntryStore& IndexPlatform::entries(const ChordNode& n, std::uint32_t scheme) {
   return ss.entries;
 }
 
+void IndexPlatform::insert_entry(const ChordNode& n, std::uint32_t scheme,
+                                 Id key, std::uint64_t object,
+                                 std::span<const double> point) {
+  SchemeStore& ss = scheme_store(n, scheme);
+  ss.entries.push_back(key, object, point);
+  if (ss.indexed_version == ss.version) {
+    ss.local.insert(ss.entries,
+                    static_cast<std::uint32_t>(ss.entries.size() - 1));
+  }
+}
+
+bool IndexPlatform::erase_entry(const ChordNode& n, std::uint32_t scheme,
+                                std::uint64_t object, Id key) {
+  SchemeStore& ss = scheme_store(n, scheme);
+  const std::size_t i = ss.entries.find(object, key);
+  if (i == EntryStore::npos) return false;
+  if (ss.indexed_version == ss.version) {
+    ss.local.erase(ss.entries.point(i), static_cast<std::uint32_t>(i));
+  }
+  ss.entries.erase_at(i);
+  return true;
+}
+
 void IndexPlatform::ensure_local_store(SchemeStore& ss) {
   if (ss.indexed_version == ss.version) return;
   ss.local.build(ss.entries);
@@ -130,12 +153,12 @@ void IndexPlatform::insert(std::uint32_t scheme_id, std::uint64_t object,
   if (opts_.replication <= 1) {
     // Unreplicated fast path: no per-insert replica-list allocation.
     ChordNode* owner = ring_.oracle_successor(key);
-    entries(*owner, scheme_id).push_back(key, object, point);
+    insert_entry(*owner, scheme_id, key, object, point);
     serve_invalidate(*owner, scheme_id, point);
     return;
   }
   for (ChordNode* node : replica_nodes(key)) {
-    entries(*node, scheme_id).push_back(key, object, point);
+    insert_entry(*node, scheme_id, key, object, point);
     serve_invalidate(*node, scheme_id, point);
   }
 }
@@ -208,7 +231,7 @@ void IndexPlatform::insert_via_network(ChordNode& origin,
       origin, key,
       [this, scheme_id, object, key, point = std::move(point),
        done = std::move(done)](NodeRef owner, int hops) {
-        entries(*owner.node, scheme_id).push_back(key, object, point);
+        insert_entry(*owner.node, scheme_id, key, object, point);
         serve_invalidate(*owner.node, scheme_id, point);
         // Replica propagation: the owner pushes copies down its
         // successor chain (modeled as oracle placement; the one-hop
@@ -216,7 +239,7 @@ void IndexPlatform::insert_via_network(ChordNode& origin,
         if (opts_.replication > 1) {
           for (ChordNode* replica : replica_nodes(key)) {
             if (replica == owner.node) continue;
-            entries(*replica, scheme_id).push_back(key, object, point);
+            insert_entry(*replica, scheme_id, key, object, point);
             serve_invalidate(*replica, scheme_id, point);
           }
         }
@@ -230,7 +253,7 @@ bool IndexPlatform::remove(std::uint32_t scheme_id, std::uint64_t object,
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
   bool removed = false;
   for (ChordNode* node : replica_nodes(key)) {
-    if (entries(*node, scheme_id).erase_first(object, key)) {
+    if (erase_entry(*node, scheme_id, object, key)) {
       removed = true;
       serve_invalidate(*node, scheme_id, point);
     }
@@ -250,7 +273,7 @@ void IndexPlatform::remove_via_network(
         (void)owner;  // replica_nodes(key) starts at the owner
         bool removed = false;
         for (ChordNode* replica : replica_nodes(key)) {
-          if (entries(*replica, scheme_id).erase_first(object, key)) {
+          if (erase_entry(*replica, scheme_id, object, key)) {
             removed = true;
             serve_invalidate(*replica, scheme_id, point);
           }

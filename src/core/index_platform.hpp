@@ -318,13 +318,13 @@ class IndexPlatform {
   void repair_replication();
 
  private:
-  /// One scheme's entries on one node, plus a lazily rebuilt LocalStore
-  /// (sorted order indices). on_solve probes the LocalStore instead of
-  /// scanning the whole store. Mutations just bump `version`; the
-  /// structure is rebuilt on the first solve that finds it stale (stores
-  /// churn in bursts between query batches, so one rebuild amortizes
-  /// over the whole batch — this is also what keeps migration/rotation
-  /// working unchanged).
+  /// One scheme's entries on one node, plus a LocalStore (sorted order
+  /// indices). on_solve probes the LocalStore instead of scanning the
+  /// whole store. Single-entry writes (insert_entry/erase_entry) update
+  /// a fresh LocalStore in place. Bulk writers (loads, migrations,
+  /// repair) go through entries(), which just bumps `version`; the
+  /// structure is rebuilt on the first solve that finds it stale, so one
+  /// rebuild amortizes over the whole bulk write.
   struct SchemeStore {
     EntryStore entries;
     LocalStore local;
@@ -387,11 +387,21 @@ class IndexPlatform {
   [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
   NodeStore& store_of(const ChordNode& n);
   SchemeStore& scheme_store(const ChordNode& n, std::uint32_t scheme);
-  /// Mutable entry store; bumps the store version so the local store
-  /// rebuilds before the next solve. All writers must come through here.
+  /// Mutable entry store for bulk writers; bumps the store version so
+  /// the local store rebuilds before the next solve. Every writer other
+  /// than insert_entry/erase_entry must come through here.
   EntryStore& entries(const ChordNode& n, std::uint32_t scheme);
-  /// Rebuild the local store if the entry store mutated since the last
-  /// probe.
+  /// Append one entry to a node's store, indexing it in place when the
+  /// local store is fresh (a stale one is rebuilt before the next solve
+  /// anyway).
+  void insert_entry(const ChordNode& n, std::uint32_t scheme, Id key,
+                    std::uint64_t object, std::span<const double> point);
+  /// Erase the first (object, key) entry from a node's store, dropping
+  /// it from a fresh local store in place; false if absent.
+  bool erase_entry(const ChordNode& n, std::uint32_t scheme,
+                   std::uint64_t object, Id key);
+  /// Rebuild the local store if a bulk writer touched the entry store
+  /// since the last build.
   void ensure_local_store(SchemeStore& ss);
   /// Serving-tier dispatcher: admission control and queueing in front
   /// of the actual solve. With the tier off it is a tail call into

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
+
 namespace lmk {
 
 void LocalStore::build(const EntryStore& entries) {
@@ -82,6 +84,47 @@ std::size_t LocalStore::memory_bytes() const {
   }
   return bytes;
 }
+
+// lmk-hot-path: insert and erase run on every single-entry write to a
+// built store, interleaved with query traffic, so they must not grow
+// new allocations beyond the bounded capacity step below.
+void LocalStore::insert(const EntryStore& entries, std::uint32_t i) {
+  LMK_CHECK(static_cast<std::size_t>(i) + 1 == entries.size());
+  // A store built empty may not have known its dimensionality yet.
+  if (order_.size() != entries.dims()) {
+    LMK_CHECK(i == 0);
+    order_.resize(entries.dims());
+  }
+  std::span<const double> p = entries.point(i);
+  for (std::size_t d = 0; d < order_.size(); ++d) {
+    auto& ord = order_[d];
+    if (ord.size() == ord.capacity()) {
+      // memory_bytes() counts capacity, so grow by a small fraction
+      // rather than the vector's doubling.
+      // lmk-lint: allow(hot-alloc) bounded capacity growth, size/16 + 8
+      ord.reserve(ord.size() + ord.size() / 16 + 8);
+    }
+    const std::pair<double, std::uint32_t> e{p[d], i};
+    ord.insert(std::lower_bound(ord.begin(), ord.end(), e), e);
+  }
+}
+
+void LocalStore::erase(std::span<const double> pt, std::uint32_t i) {
+  LMK_CHECK(pt.size() == order_.size());
+  for (std::size_t d = 0; d < order_.size(); ++d) {
+    auto& ord = order_[d];
+    const std::pair<double, std::uint32_t> e{pt[d], i};
+    auto it = std::lower_bound(ord.begin(), ord.end(), e);
+    LMK_CHECK(it != ord.end() && *it == e);
+    ord.erase(it);
+    // Mirror EntryStore::erase_at's shift of the later rows. Branchless:
+    // which indices exceed i is unpredictable.
+    for (auto& [value, index] : ord) {
+      index -= static_cast<std::uint32_t>(index > i);
+    }
+  }
+}
+// lmk-hot-path-end
 
 std::unique_ptr<LocalStore> make_local_store(
     const LocalStoreOptions& /*opts*/) {

@@ -9,15 +9,19 @@
 // same order, independent of LMK_THREADS, node identity, and insertion
 // history.
 //
-// Mutation protocol: LocalStore never observes mutations directly. The
-// platform bumps a version counter on every EntryStore writer and lazily
-// calls `build` again before the next probe (rebuild-on-migrate); between
-// builds the structure may be arbitrarily stale and must not be probed.
+// Mutation protocol: a built LocalStore follows single-entry writes in
+// place — `insert` after an EntryStore::push_back, `erase` before an
+// EntryStore::erase_at — and stays element-for-element the structure
+// `build` would produce from the mutated rows. Bulk writers (loads,
+// migrations, repair) instead mark the store stale; the platform then
+// calls `build` again before the next probe. A stale structure must not
+// be probed or updated in place.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,6 +50,16 @@ class LocalStore {
   /// an empty store.
   void build(const EntryStore& entries);
 
+  /// Index entry `i`, which the caller has just appended to `entries`
+  /// (so `i == entries.size() - 1`). The structure must have been
+  /// current before the append.
+  void insert(const EntryStore& entries, std::uint32_t i);
+
+  /// Drop entry `i` with point `pt`, which the caller is about to erase
+  /// with EntryStore::erase_at(i): later indices shift down by one, as
+  /// the rows do. The structure must be current before the erase.
+  void erase(std::span<const double> pt, std::uint32_t i);
+
   /// Append the indices of entries whose point lies in the closed region
   /// to `out` (not cleared), in ascending order of the most selective
   /// dimension. Returns the number of entries scanned.
@@ -59,7 +73,9 @@ class LocalStore {
   // order_[d] holds (coordinate d, entry index) sorted ascending; the
   // pair order breaks value ties by entry index, so the scan order — and
   // therefore the whole simulation — is independent of the sort
-  // algorithm's handling of equal values.
+  // algorithm's handling of equal values. Because that order is total,
+  // an in-place insert or erase lands every pair exactly where a fresh
+  // build would put it.
   std::vector<std::vector<std::pair<double, std::uint32_t>>> order_;
 };
 

@@ -110,14 +110,15 @@ TEST(ResultCache, TtlExpiresAndOversizeSkips) {
 }
 
 struct Stack {
-  Stack(std::size_t hosts, std::uint64_t seed)
+  Stack(std::size_t hosts, std::uint64_t seed,
+        IndexPlatform::Options popts = {})
       : topo(hosts, 12 * kMillisecond), net(sim, topo) {
     Ring::Options ropts;
     ropts.seed = seed;
     ring = std::make_unique<Ring>(net, ropts);
     for (HostId h = 0; h < hosts; ++h) ring->create_node(h);
     ring->bootstrap();
-    platform = std::make_unique<IndexPlatform>(*ring);
+    platform = std::make_unique<IndexPlatform>(*ring, popts);
   }
 
   std::optional<IndexPlatform::QueryOutcome> query_all(std::uint32_t scheme,
@@ -150,10 +151,14 @@ ServeOptions cache_only_options() {
 /// Randomized insert/extract/migration trace with interleaved queries
 /// against a rotated scheme: every query's result set must equal the
 /// brute-force oracle id-for-id — a stale cache hit either diverges
-/// here or trips the in-line LMK_SERVE_VERIFY re-solve.
-TEST(ServeCacheCorrectness, RandomizedMutationTraceMatchesOracle) {
-  Stack s(24, 7);
-  s.platform->set_serve_options(cache_only_options());
+/// here or trips the in-line LMK_SERVE_VERIFY re-solve. With the cache
+/// off every probe reads the local stores that single-entry writes
+/// maintain in place; with replication each write updates every copy.
+void run_mutation_trace(std::size_t replication, bool cache) {
+  IndexPlatform::Options popts;
+  popts.replication = replication;
+  Stack s(24, 7, popts);
+  if (cache) s.platform->set_serve_options(cache_only_options());
   // rotate=true: cache keys live in index space while placement is
   // rotated — the invalidation plumbing must respect both.
   auto scheme =
@@ -223,6 +228,8 @@ TEST(ServeCacheCorrectness, RandomizedMutationTraceMatchesOracle) {
       if (a != b) {
         s.platform->drain_all(*a, *b);
         s.platform->transfer_owned(*b, *a);
+        // a's replica copies stayed on b; restore replicated placement.
+        if (replication > 1) s.platform->repair_replication();
         s.platform->check_placement_invariant();
       }
     }
@@ -233,12 +240,23 @@ TEST(ServeCacheCorrectness, RandomizedMutationTraceMatchesOracle) {
     for (const Region& reg : hot) check_query(reg);
     check_query(random_region());
   }
+  if (!cache) return;
   const ServeState* serve = s.platform->serve_state();
   ASSERT_NE(serve, nullptr);
   const CacheStats cs = serve->aggregate_cache_stats();
   EXPECT_GT(cs.hits, 0u) << "trace never exercised the hit path";
   EXPECT_GT(cs.point_invalidations + cs.wipes, 0u);
   EXPECT_EQ(serve->stats().verified_hits, cs.hits);
+}
+
+TEST(ServeCacheCorrectness, RandomizedMutationTraceMatchesOracle) {
+  for (const std::size_t replication : {std::size_t{1}, std::size_t{3}}) {
+    for (const bool cache : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "replication " << replication
+                                      << ", cache " << cache);
+      run_mutation_trace(replication, cache);
+    }
+  }
 }
 
 TEST(ServeCacheCorrectness, RepeatedQueryHitsAndClearInvalidates) {

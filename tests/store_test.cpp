@@ -1,7 +1,7 @@
 // LocalStore: range containment, completeness, determinism and memory
-// accounting, exactness as a property over random mutation traces
-// (including the migration extract_if path), and the platform's
-// rebuild-on-mutation accounting.
+// accounting, exactness as a property over random mutation traces (in
+// place for single-entry writes, rebuilt after the migration extract_if
+// path), and the platform's in-place / lazy-rebuild accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,44 +127,79 @@ TEST(LocalStoreConformance, MemoryBytesReflectsBuiltStructure) {
 }
 
 // ---------------------------------------------------------------------
-// Exactness as a property over random mutation traces, including the
-// extract_if migration path the platform uses.
+// Exactness as a property over random mutation traces: single-entry
+// writes maintain the structure in place, the extract_if migration path
+// the platform uses rebuilds it.
 
 TEST(LocalStoreProperty, ExactUnderRandomMutationTraces) {
   Rng rng(21);
   EntryStore store;
   EntryStore migrated;  // extract_if destination (the "new owner")
   LocalStore ls;
+  ls.build(store);  // built empty, before the store knows its dims
   std::uint64_t next_object = 0;
-  for (int step = 0; step < 40; ++step) {
+  // Half the coordinates sit on a 1/8 grid, so value ties are common
+  // and the (value, index) tie-break and the erase shift both matter.
+  auto coord = [&rng]() {
+    return rng.uniform() < 0.5 ? static_cast<double>(rng.below(8)) / 8.0
+                               : rng.uniform();
+  };
+  auto erase_at = [&](std::size_t i) {
+    ls.erase(store.point(i), static_cast<std::uint32_t>(i));
+    store.erase_at(i);
+  };
+  for (int step = 0; step < 60; ++step) {
+    if (step % 20 == 10) {
+      // Erase down to empty; the bursts below refill the store.
+      while (!store.empty()) erase_at(rng.below(store.size()));
+      std::vector<std::uint32_t> none;
+      EXPECT_EQ(ls.range(store, random_region(rng, 3, 1.0), none), 0u);
+      EXPECT_TRUE(none.empty());
+    }
     // A burst of mutations, shaped like platform traffic: mostly
     // inserts, occasional deletes, periodic key-predicate migrations.
     const int burst = 1 + static_cast<int>(rng.below(30));
     for (int b = 0; b < burst; ++b) {
       const double op = rng.uniform();
       if (op < 0.70 || store.empty()) {
-        IndexPoint pt{rng.uniform(), rng.uniform(), rng.uniform()};
+        IndexPoint pt{coord(), coord(), coord()};
         store.push_back(static_cast<Id>(rng.next()), next_object++, pt);
+        ls.insert(store, static_cast<std::uint32_t>(store.size() - 1));
       } else if (op < 0.85) {
-        store.erase_at(rng.below(store.size()));
+        erase_at(rng.below(store.size()));
       } else {
         const std::size_t i = rng.below(store.size());
+        ASSERT_EQ(store.find(store.object(i), store.key(i)), i);
+        ls.erase(store.point(i), static_cast<std::uint32_t>(i));
         EXPECT_TRUE(store.erase_first(store.object(i), store.key(i)));
       }
     }
     if (step % 7 == 3 && !store.empty()) {
       // Migration: peel off a key range, exactly like ownership
-      // transfer, and occasionally merge it back.
+      // transfer, and occasionally merge it back. Bulk writes rebuild.
       const Id split = static_cast<Id>(rng.next());
       store.extract_if([split](Id k) { return k < split; }, migrated);
       if (rng.uniform() < 0.5) store.append_moved(migrated);
+      ls.build(store);
     }
-    // Rebuild-on-mutation, then exactness against brute force.
-    ls.build(store);
+    // The maintained structure probes exactly like a fresh build (same
+    // scan count, same emission order) and matches brute force.
+    LocalStore fresh;
+    fresh.build(store);
     for (int q = 0; q < 5; ++q) {
-      const Region r = random_region(rng, 3, 0.25 + 0.5 * rng.uniform());
+      Region r = random_region(rng, 3, 0.25 + 0.5 * rng.uniform());
+      if (q % 2 == 1) {
+        // Grid-aligned bounds land on tied values (closed intervals).
+        for (Interval& iv : r.ranges) {
+          iv.lo = static_cast<double>(rng.below(5)) / 8.0;
+          iv.hi = iv.lo + static_cast<double>(1 + rng.below(3)) / 8.0;
+        }
+      }
       std::vector<std::uint32_t> got;
-      ls.range(store, r, got);
+      std::vector<std::uint32_t> want;
+      EXPECT_EQ(ls.range(store, r, got), fresh.range(store, r, want))
+          << "step " << step;
+      EXPECT_EQ(got, want) << "step " << step;
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, brute_range(store, r)) << "step " << step;
     }
@@ -172,7 +207,8 @@ TEST(LocalStoreProperty, ExactUnderRandomMutationTraces) {
 }
 
 // ---------------------------------------------------------------------
-// Platform accounting: lazy rebuild-on-mutation.
+// Platform accounting: single-entry writes update built stores in
+// place; bulk writers rebuild lazily.
 
 struct Stack {
   Stack(std::size_t hosts, std::uint64_t seed)
@@ -185,11 +221,15 @@ struct Stack {
     platform = std::make_unique<IndexPlatform>(*ring);
   }
 
-  void query_all(std::uint32_t scheme, Region region) {
+  std::set<std::uint64_t> query_all(std::uint32_t scheme, Region region) {
+    std::set<std::uint64_t> ids;
     platform->region_query(*ring->alive_nodes()[0], scheme, region,
                            IndexPoint(region.dims(), 0.5),
-                           ReplyMode::kAllMatches, [](const auto&) {});
+                           ReplyMode::kAllMatches, [&](const auto& o) {
+                             ids.insert(o.results.begin(), o.results.end());
+                           });
     sim.run();
+    return ids;
   }
 
   Simulator sim;
@@ -204,25 +244,49 @@ TEST(LocalStorePlatform, RebuildsLazilyOncePerMutatedStore) {
   auto scheme =
       s.platform->register_scheme("acct", uniform_boundary(2, 0, 1), false);
   Rng rng(6);
+  std::vector<IndexPoint> points;
   for (int i = 0; i < 64; ++i) {
-    s.platform->insert(scheme, static_cast<std::uint64_t>(i),
-                       IndexPoint{rng.uniform(), rng.uniform()});
+    points.push_back(IndexPoint{rng.uniform(), rng.uniform()});
+    s.platform->insert(scheme, static_cast<std::uint64_t>(i), points.back());
   }
   EXPECT_EQ(s.platform->local_store_stats().rebuilds, 0u);  // lazy
   const Region all{{Interval{0, 1}, Interval{0, 1}}};
-  s.query_all(scheme, all);
+  EXPECT_EQ(s.query_all(scheme, all).size(), 64u);
   const auto after_first = s.platform->local_store_stats();
   EXPECT_GT(after_first.rebuilds, 0u);
   EXPECT_EQ(after_first.rebuilt_entries, 64u);
   // Probing again without mutations must not rebuild anything.
   s.query_all(scheme, all);
   EXPECT_EQ(s.platform->local_store_stats().rebuilds, after_first.rebuilds);
-  // One more insert dirties exactly the owner's store.
+
+  // One insert and one remove update the built stores in place: no
+  // rebuild, and the next probe already sees both.
   s.platform->insert(scheme, 1000, IndexPoint{0.5, 0.5});
-  s.query_all(scheme, all);
-  const auto after_insert = s.platform->local_store_stats();
-  EXPECT_GT(after_insert.rebuilds, after_first.rebuilds);
-  EXPECT_GT(after_insert.rebuilt_entries, after_first.rebuilt_entries);
+  ASSERT_TRUE(s.platform->remove(scheme, 3, points[3]));
+  const auto ids = s.query_all(scheme, all);
+  const auto after_writes = s.platform->local_store_stats();
+  EXPECT_EQ(after_writes.rebuilds, after_first.rebuilds);
+  EXPECT_EQ(after_writes.rebuilt_entries, after_first.rebuilt_entries);
+  EXPECT_EQ(ids.size(), 64u);
+  EXPECT_EQ(ids.count(1000), 1u);
+  EXPECT_EQ(ids.count(3), 0u);
+
+  // A bulk writer still marks its store stale: exactly one lazy rebuild
+  // of that store on the next probe.
+  ChordNode* holder = nullptr;
+  for (ChordNode* n : s.ring->alive_nodes()) {
+    if (!s.platform->store(*n, scheme).empty()) {
+      holder = n;
+      break;
+    }
+  }
+  ASSERT_NE(holder, nullptr);
+  const std::size_t held = s.platform->store(*holder, scheme).size();
+  (void)s.platform->mutable_store(*holder, scheme);
+  EXPECT_EQ(s.query_all(scheme, all), ids);
+  const auto after_bulk = s.platform->local_store_stats();
+  EXPECT_EQ(after_bulk.rebuilds, after_writes.rebuilds + 1);
+  EXPECT_EQ(after_bulk.rebuilt_entries, after_writes.rebuilt_entries + held);
   EXPECT_GT(s.platform->store_bytes(), 0u);
 }
 
