@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 
+#include "common/check.hpp"
 #include "eval/experiment.hpp"
 #include "eval/sweep.hpp"
 #include "landmark/selection.hpp"
@@ -25,11 +26,31 @@
 
 namespace lmk::bench {
 
+// Environment knobs. Unset or empty yields the fallback; any other
+// value must parse in full or the bench stops with a message, so a typo
+// such as LMK_NODES=1k never runs silently at a different scale.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  LMK_CHECK_MSG(*v != '-' && end != v && *end == '\0',
+                "%s must be a non-negative integer, got \"%s\"", name, v);
+  return static_cast<std::size_t>(n);
 }
+
+inline double env_double(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  LMK_CHECK_MSG(end != v && *end == '\0', "%s must be a number, got \"%s\"",
+                name, v);
+  return x;
+}
+
+/// Unset, empty or 0 is off; any other integer is on.
+inline bool env_flag(const char* name) { return env_size(name, 0) != 0; }
 
 /// Wrap a vector in the shared-immutable handle the sweep cells hold:
 /// one corpus / query set / truth table for N concurrent cells.
@@ -48,7 +69,7 @@ template <typename T>
   return std::shared_ptr<const std::vector<T>>(std::shared_ptr<void>(), &v);
 }
 
-inline bool full_scale() { return env_size("LMK_FULL", 0) != 0; }
+inline bool full_scale() { return env_flag("LMK_FULL"); }
 
 /// Common experiment scale knobs resolved from the environment.
 struct Scale {

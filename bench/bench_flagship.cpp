@@ -38,16 +38,11 @@
 #include "common/alloc_guard.hpp"
 #include "common/arena.hpp"
 #include "common/stats.hpp"
+#include "core/top_k.hpp"
 #include "workload/open_loop.hpp"
 
 namespace lmk::bench {
 namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
-}
 
 template <typename Fn>
 double time_s(Fn&& fn) {
@@ -213,14 +208,16 @@ int run() {
   std::vector<double> lat_ms, resp_ms;
   lat_ms.reserve(schedule.size());
   resp_ms.reserve(schedule.size());
-  P2Quantile p99_stream(0.99), p999_stream(0.999);
   Accumulator hops, qbytes, rbytes, qmsgs, subqueries, index_nodes;
   Accumulator scanned;
   std::uint64_t incomplete = 0;
 
   // One scratch row for regenerating candidate objects during ranking
-  // and refinement (the sim is single-threaded; rank calls are atomic).
+  // and refinement, and the refinement's scratch (the sim is
+  // single-threaded; rank calls are atomic).
   DenseVector rank_scratch(s.dims);
+  std::vector<double> refine_dists;
+  std::vector<std::pair<double, std::uint64_t>> refine_top;
   auto dist_to = [&](const DenseVector& q, std::uint64_t id) {
     stream.point_into(id, rank_scratch);
     return std::sqrt(l2_squared(q, rank_scratch));
@@ -250,8 +247,6 @@ int run() {
             lat_ms.push_back(ms);
             resp_ms.push_back(static_cast<double>(o.response_time) /
                               static_cast<double>(kMillisecond));
-            p99_stream.add(ms);
-            p999_stream.add(ms);
             hops.add(o.hops);
             qbytes.add(static_cast<double>(o.query_bytes));
             rbytes.add(static_cast<double>(o.result_bytes));
@@ -263,21 +258,14 @@ int run() {
             if (sampled_set.count(i) != 0) {
               // Querier-side refinement: true distances, top-10, ties
               // by id — the paper's recall protocol.
-              std::vector<std::pair<double, std::uint64_t>> scored;
-              scored.reserve(o.results.size());
-              for (std::uint64_t id : o.results) {
-                scored.emplace_back(dist_to(qpts[i], id), id);
+              refine_dists.resize(o.results.size());
+              for (std::size_t j = 0; j < o.results.size(); ++j) {
+                refine_dists[j] = dist_to(qpts[i], o.results[j]);
               }
-              std::sort(scored.begin(), scored.end());
-              scored.erase(std::unique(scored.begin(), scored.end(),
-                                       [](const auto& a, const auto& b) {
-                                         return a.second == b.second;
-                                       }),
-                           scored.end());
-              if (scored.size() > 10) scored.resize(10);
+              select_top_k(o.results, refine_dists, 10, refine_top);
               auto& ids = retrieved[i];
-              ids.reserve(scored.size());
-              for (const auto& [d, id] : scored) ids.push_back(id);
+              ids.reserve(refine_top.size());
+              for (const auto& [d, id] : refine_top) ids.push_back(id);
             }
           },
           std::move(rank));
@@ -368,10 +356,7 @@ int run() {
   // byte-identical to pre-serve builds.
   char serve_det[3584];
   serve_det[0] = '\0';
-  const char* serve_env = std::getenv("LMK_FLAGSHIP_SERVE");
-  const bool serve_sweep =
-      serve_env != nullptr && *serve_env != '\0' && *serve_env != '0';
-  if (serve_sweep) {
+  if (env_flag("LMK_FLAGSHIP_SERVE")) {
     const std::size_t qpool = env_size("LMK_FLAGSHIP_QPOOL", 4);
     const std::uint64_t sweep_arrivals =
         env_size("LMK_FLAGSHIP_SERVE_ARRIVALS", s.arrivals);
@@ -384,8 +369,7 @@ int run() {
     const SimTime window =
         static_cast<SimTime>(env_size("LMK_FLAGSHIP_SERVE_WINDOW_MS", 2)) *
         kMillisecond;
-    const char* venv = std::getenv("LMK_SERVE_VERIFY");
-    const bool verify = venv != nullptr && *venv != '\0' && *venv != '0';
+    const bool verify = env_flag("LMK_SERVE_VERIFY");
 
     struct SweepWorkload {
       std::vector<Arrival> schedule;
@@ -509,7 +493,6 @@ int run() {
       row.off = run_rung(w, base);
       ServeOptions shed = base;
       shed.queue_limit = queue_limit;
-      shed.backoff = 5 * kMillisecond;
       shed.max_retries = max_retries;
       row.on = run_rung(w, shed);
     }
@@ -587,9 +570,8 @@ int run() {
               static_cast<unsigned long long>(build_arena.resets),
               static_cast<unsigned long long>(store_bytes));
   std::printf("latency ms: p50 %.2f  p90 %.2f  p99 %.2f  p999 %.2f  "
-              "max %.2f  (P2: p99 %.2f, p999 %.2f)\n",
-              p50, p90, p99, p999, lat_max, p99_stream.value(),
-              p999_stream.value());
+              "max %.2f\n",
+              p50, p90, p99, p999, lat_max);
   std::printf("first-reply ms: p50 %.2f  p99 %.2f\n", rp50, rp99);
   std::printf("queue: max depth %llu, mean depth %.3f over %llu samples, "
               "max active queries %zu\n",
@@ -620,8 +602,7 @@ int run() {
       det, sizeof det,
       "{\n"
       "    \"latency_ms\": {\"p50\": %.6f, \"p90\": %.6f, \"p99\": %.6f, "
-      "\"p999\": %.6f, \"max\": %.6f, \"p99_p2\": %.6f, "
-      "\"p999_p2\": %.6f},\n"
+      "\"p999\": %.6f, \"max\": %.6f},\n"
       "    \"first_reply_ms\": {\"p50\": %.6f, \"p99\": %.6f},\n"
       "    \"queue\": {\"max_depth\": %llu, \"mean_depth\": %.6f, "
       "\"samples\": %llu, \"max_active_queries\": %zu},\n"
@@ -639,8 +620,8 @@ int run() {
       "    \"incomplete\": %llu,\n"
       "    \"sim_events\": %llu%s\n"
       "  }",
-      p50, p90, p99, p999, lat_max, p99_stream.value(), p999_stream.value(),
-      rp50, rp99, static_cast<unsigned long long>(depth_max),
+      p50, p90, p99, p999, lat_max, rp50, rp99,
+      static_cast<unsigned long long>(depth_max),
       depth_mean.mean(), static_cast<unsigned long long>(depth_samples),
       max_active, qbytes.sum(), rbytes.sum(), wire_total,
       wire_total / static_cast<double>(schedule.size()), qmsgs.mean(),

@@ -391,7 +391,7 @@ int run() {
     serve.entries_per_slot = env_size("LMK_SERVE_BENCH_ENTRIES", 64);
     serve.probes =
         env_size("LMK_SERVE_BENCH_PROBES", full_scale() ? 400000 : 100000);
-    ResultCache cache(serve.slots, /*max_entries=*/0, /*ttl=*/0);
+    ResultCache cache(serve.slots, /*max_entries=*/0);
     // Regions and probe points are prebuilt: Region construction
     // allocates, and the storms below must not.
     auto box_at = [&](double lo) {
@@ -419,7 +419,7 @@ int run() {
     }
     serve.fill_s = time_s([&] {
       for (std::size_t i = 0; i < serve.slots; ++i) {
-        cache.insert(fill_regions[i], 0, objs, coords, cdims);
+        cache.insert(fill_regions[i], objs, coords, cdims);
       }
     });
     const std::vector<double> outside(cdims, -10.0);  // covers no slot
@@ -430,7 +430,7 @@ int run() {
       AllocPhaseScope phase("serve-steady-state");
       serve.hit_s = time_s([&] {
         for (std::uint64_t p = 0; p < serve.probes; ++p) {
-          if (cache.probe(fill_regions[p % serve.slots], 0, &po, &pc, &pd)) {
+          if (cache.probe(fill_regions[p % serve.slots], &po, &pc, &pd)) {
             ++serve.hits;
             serve.hit_entries += po.size();
           }
@@ -438,7 +438,7 @@ int run() {
       });
       serve.miss_s = time_s([&] {
         for (std::uint64_t p = 0; p < serve.probes; ++p) {
-          if (cache.probe(miss_regions[p % serve.slots], 0, &po, &pc, &pd)) {
+          if (cache.probe(miss_regions[p % serve.slots], &po, &pc, &pd)) {
             ++serve.hits;  // cannot happen; keeps the probe observable
           }
         }
@@ -463,7 +463,7 @@ int run() {
           center[d] = static_cast<double>(i) + 0.25;
         }
         cache.invalidate_point(center);
-        cache.insert(fill_regions[i], 0, objs, coords, cdims);
+        cache.insert(fill_regions[i], objs, coords, cdims);
       }
     });
     LMK_CHECK(cache.stats().point_invalidations == serve.refills);

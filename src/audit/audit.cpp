@@ -63,6 +63,7 @@ std::vector<ChordNode*> alive_by_id(const Ring& ring) {
 }
 
 bool audit_env_enabled() {
+  // lmk-lint: allow(env-read) the auditor attaches to any run
   const char* v = std::getenv("LMK_AUDIT");
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }

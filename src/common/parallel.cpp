@@ -147,6 +147,7 @@ class Pool {
 };
 
 std::size_t env_threads() {
+  // lmk-lint: allow(env-read) the pool width is a host setting
   const char* v = std::getenv("LMK_THREADS");
   if (v != nullptr && *v != '\0') {
     long n = std::strtol(v, nullptr, 10);

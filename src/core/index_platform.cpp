@@ -25,12 +25,7 @@ IndexPlatform::IndexPlatform(Ring& ring, Options opts)
           [this](const RangeQuery& q, ChordNode& n) { on_solve(q, n); },
           [this](std::uint64_t qid, int d) { on_fanout(qid, d); },
           opts.naive_split_depth,
-          [this](std::uint64_t qid, std::uint64_t b) { on_sent(qid, b); }) {
-  // Serving tier (caches / batching / admission): entirely env-driven,
-  // all-off by default so every existing pipeline stays byte-identical.
-  ServeOptions serve_opts = ServeOptions::from_env();
-  if (serve_opts.any_enabled()) set_serve_options(serve_opts);
-}
+          [this](std::uint64_t qid, std::uint64_t b) { on_sent(qid, b); }) {}
 
 void IndexPlatform::set_serve_options(const ServeOptions& opts) {
   if (opts.any_enabled()) {
@@ -132,93 +127,54 @@ void IndexPlatform::ensure_local_store(SchemeStore& ss) {
   local_store_stats_.rebuilt_entries += ss.entries.size();
 }
 
-std::vector<ChordNode*> IndexPlatform::replica_nodes(Id key) const {
-  std::vector<ChordNode*> out;
-  ChordNode* owner = ring_.oracle_successor(key);
-  out.push_back(owner);
-  // Walk the successor chain for the remaining copies (distinct nodes).
-  ChordNode* cur = owner;
-  while (out.size() < opts_.replication) {
-    cur = ring_.oracle_successor(cur->id() + 1);
-    if (cur == owner) break;  // ring smaller than the replication degree
-    out.push_back(cur);
-  }
-  return out;
-}
-
 void IndexPlatform::insert(std::uint32_t scheme_id, std::uint64_t object,
                            const IndexPoint& point) {
   const SchemeRouting& sch = scheme(scheme_id);
-  Id key = lph_hash(point, sch.boundary) + sch.rotation;
-  if (opts_.replication <= 1) {
-    // Unreplicated fast path: no per-insert replica-list allocation.
-    ChordNode* owner = ring_.oracle_successor(key);
-    insert_entry(*owner, scheme_id, key, object, point);
-    serve_invalidate(*owner, scheme_id, point);
-    return;
-  }
-  for (ChordNode* node : replica_nodes(key)) {
-    insert_entry(*node, scheme_id, key, object, point);
-    serve_invalidate(*node, scheme_id, point);
+  const Id key = lph_hash(point, sch.boundary) + sch.rotation;
+  for_each_replica(key, [&](ChordNode& node) {
+    insert_entry(node, scheme_id, key, object, point);
+    serve_invalidate(node, scheme_id, point);
+  });
+}
+
+template <typename RowFn>
+void IndexPlatform::bulk_place(std::uint32_t scheme_id, std::size_t n,
+                               std::uint64_t first_object, RowFn row) {
+  const SchemeRouting& sch = scheme(scheme_id);
+  // Phase 1 (parallel, read-only): hash every point to its placement
+  // key. Phase 2 (sequential, index order): mutate the node stores —
+  // identical entry order to a plain insert() loop.
+  std::vector<Id> keys(n);
+  parallel_for(n, [&](std::size_t i) {
+    keys[i] = lph_hash(row(i), sch.boundary) + sch.rotation;
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> point = row(i);
+    for_each_replica(keys[i], [&](ChordNode& node) {
+      entries(node, scheme_id).push_back(keys[i], first_object + i, point);
+      serve_invalidate(node, scheme_id, point);
+    });
   }
 }
 
 void IndexPlatform::bulk_insert(std::uint32_t scheme_id,
                                 std::span<const IndexPoint> points,
                                 std::uint64_t first_object) {
-  const SchemeRouting& sch = scheme(scheme_id);
-  // Phase 1 (parallel, read-only): hash every point to its placement
-  // key. Phase 2 (sequential, index order): mutate the node stores —
-  // identical entry order to a plain insert() loop.
-  std::vector<Id> keys(points.size());
-  parallel_for(points.size(), [&](std::size_t i) {
-    keys[i] = lph_hash(points[i], sch.boundary) + sch.rotation;
-  });
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (opts_.replication <= 1) {
-      ChordNode* owner = ring_.oracle_successor(keys[i]);
-      entries(*owner, scheme_id).push_back(keys[i], first_object + i,
-                                           points[i]);
-      serve_invalidate(*owner, scheme_id, points[i]);
-      continue;
-    }
-    for (ChordNode* node : replica_nodes(keys[i])) {
-      entries(*node, scheme_id)
-          .push_back(keys[i], first_object + i, points[i]);
-      serve_invalidate(*node, scheme_id, points[i]);
-    }
-  }
+  bulk_place(scheme_id, points.size(), first_object,
+             [&](std::size_t i) { return std::span<const double>(points[i]); });
 }
 
 void IndexPlatform::bulk_insert_flat(std::uint32_t scheme_id,
                                      std::span<const double> coords,
                                      std::size_t dims,
                                      std::uint64_t first_object) {
-  const SchemeRouting& sch = scheme(scheme_id);
   LMK_CHECK(dims > 0 && coords.size() % dims == 0);
-  LMK_CHECK(dims == sch.boundary.size());
-  const std::size_t n = coords.size() / dims;
-  // Same two-phase structure as bulk_insert, but the points live in one
-  // flat row-major buffer (the streaming-load path hands in arena
-  // scratch) — no per-point IndexPoint materialization anywhere.
-  std::vector<Id> keys(n);
-  parallel_for(n, [&](std::size_t i) {
-    keys[i] =
-        lph_hash(coords.subspan(i * dims, dims), sch.boundary) + sch.rotation;
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    std::span<const double> row = coords.subspan(i * dims, dims);
-    if (opts_.replication <= 1) {
-      ChordNode* owner = ring_.oracle_successor(keys[i]);
-      entries(*owner, scheme_id).push_back(keys[i], first_object + i, row);
-      serve_invalidate(*owner, scheme_id, row);
-      continue;
-    }
-    for (ChordNode* node : replica_nodes(keys[i])) {
-      entries(*node, scheme_id).push_back(keys[i], first_object + i, row);
-      serve_invalidate(*node, scheme_id, row);
-    }
-  }
+  LMK_CHECK(dims == scheme(scheme_id).boundary.size());
+  // The points live in one flat row-major buffer (the streaming-load
+  // path hands in arena scratch) — no per-point IndexPoint
+  // materialization anywhere.
+  bulk_place(scheme_id, coords.size() / dims, first_object,
+             [&](std::size_t i) { return coords.subspan(i * dims, dims); });
 }
 
 void IndexPlatform::insert_via_network(ChordNode& origin,
@@ -237,11 +193,11 @@ void IndexPlatform::insert_via_network(ChordNode& origin,
         // successor chain (modeled as oracle placement; the one-hop
         // store messages are not part of the paper's cost model).
         if (opts_.replication > 1) {
-          for (ChordNode* replica : replica_nodes(key)) {
-            if (replica == owner.node) continue;
-            insert_entry(*replica, scheme_id, key, object, point);
-            serve_invalidate(*replica, scheme_id, point);
-          }
+          for_each_replica(key, [&](ChordNode& replica) {
+            if (&replica == owner.node) return;
+            insert_entry(replica, scheme_id, key, object, point);
+            serve_invalidate(replica, scheme_id, point);
+          });
         }
         if (done) done(hops);
       });
@@ -252,12 +208,12 @@ bool IndexPlatform::remove(std::uint32_t scheme_id, std::uint64_t object,
   const SchemeRouting& sch = scheme(scheme_id);
   Id key = lph_hash(point, sch.boundary) + sch.rotation;
   bool removed = false;
-  for (ChordNode* node : replica_nodes(key)) {
-    if (erase_entry(*node, scheme_id, object, key)) {
+  for_each_replica(key, [&](ChordNode& node) {
+    if (erase_entry(node, scheme_id, object, key)) {
       removed = true;
-      serve_invalidate(*node, scheme_id, point);
+      serve_invalidate(node, scheme_id, point);
     }
-  }
+  });
   return removed;
 }
 
@@ -270,14 +226,14 @@ void IndexPlatform::remove_via_network(
       origin, key,
       [this, scheme_id, object, key, point = std::move(point),
        done = std::move(done)](NodeRef owner, int hops) {
-        (void)owner;  // replica_nodes(key) starts at the owner
+        (void)owner;  // for_each_replica(key) starts at the owner
         bool removed = false;
-        for (ChordNode* replica : replica_nodes(key)) {
-          if (erase_entry(*replica, scheme_id, object, key)) {
+        for_each_replica(key, [&](ChordNode& replica) {
+          if (erase_entry(replica, scheme_id, object, key)) {
             removed = true;
-            serve_invalidate(*replica, scheme_id, point);
+            serve_invalidate(replica, scheme_id, point);
           }
-        }
+        });
         if (done) done(removed, hops);
       });
 }
@@ -447,6 +403,9 @@ void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
       node.host());
 }
 
+/// Retry-after base of a shed subquery (doubles per retry).
+constexpr SimTime kShedBackoff = 5 * kMillisecond;
+
 void IndexPlatform::shed_subquery(const RangeQuery& q, ChordNode& node) {
   auto it = active_.find(q.qid);
   LMK_CHECK(it != active_.end());
@@ -458,8 +417,7 @@ void IndexPlatform::shed_subquery(const RangeQuery& q, ChordNode& node) {
   retry.retries += 1;
   // Deterministic exponential backoff: base << (retries - 1), capped so
   // the shift cannot overflow.
-  const SimTime delay = serve_->options().backoff
-                        << std::min(retry.retries - 1, 16);
+  const SimTime delay = kShedBackoff << std::min(retry.retries - 1, 16);
   ChordNode* origin = aq.origin_node;
   const std::uint32_t origin_inc = aq.origin_inc;
   stats.retries += 1;
@@ -517,7 +475,7 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
     std::span<const std::uint64_t> cobjs;
     std::span<const double> ccoords;
     std::size_t cdims = 0;
-    if (cache->probe(q.region, ring_.sim().now(), &cobjs, &ccoords, &cdims)) {
+    if (cache->probe(q.region, &cobjs, &ccoords, &cdims)) {
       // Hot-result hit: the cached hit-list is the region's exact match
       // set (coverage invalidation guarantees no mutation touched the
       // region since the fill). Cached ids are appended like store
@@ -527,7 +485,7 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
       // probed: scanned += 0.
       cache_hit = true;
       if (serve_->options().verify_hits) {
-        // Oracle cross-check (LMK_SERVE_VERIFY): re-solve and compare
+        // Oracle cross-check (verify_hits): re-solve and compare
         // id sets. Sound because the local store's range probe is exact.
         SchemeStore& ss = scheme_store(node, aq.scheme);
         ensure_local_store(ss);
@@ -590,8 +548,7 @@ void IndexPlatform::solve_subquery(const RangeQuery& q, ChordNode& node) {
         std::span<const double> pt = ss.entries.point(ei);
         cache_coords_.insert(cache_coords_.end(), pt.begin(), pt.end());
       }
-      cache->insert(q.region, ring_.sim().now(), cache_objs_, cache_coords_,
-                    dims);
+      cache->insert(q.region, cache_objs_, cache_coords_, dims);
     }
   }
 
@@ -856,9 +813,8 @@ void IndexPlatform::check_placement_invariant() const {
         if (opts_.replication <= 1) {
           LMK_CHECK(node->owns(key));
         } else {
-          auto replicas = replica_nodes(key);
           bool member = false;
-          for (ChordNode* r : replicas) member |= (r == node);
+          for_each_replica(key, [&](ChordNode& r) { member |= (&r == node); });
           LMK_CHECK(member);
         }
       }
@@ -931,7 +887,7 @@ void IndexPlatform::repair_replication() {
   }
   for (std::size_t sc = 0; sc < per_scheme.size(); ++sc) {
     for (Logical& l : per_scheme[sc]) {
-      for (ChordNode* node : replica_nodes(l.key)) {
+      for_each_replica(l.key, [&](ChordNode& node) {
 #ifdef LMK_SCHED_MUTATION
         // Deliberately broken repair, compiled in only for the
         // lmk-sched mutation gate (scripts/check.sh --sched-smoke):
@@ -942,13 +898,13 @@ void IndexPlatform::repair_replication() {
         // which the explorer must catch as a conservation violation
         // and shrink to a minimal fault plan.
         const auto& held = holders[sc][{l.object, l.key}];
-        if (std::find(held.begin(), held.end(), node) == held.end()) {
-          continue;
+        if (std::find(held.begin(), held.end(), &node) == held.end()) {
+          return;
         }
 #endif
-        entries(*node, static_cast<std::uint32_t>(sc))
+        entries(node, static_cast<std::uint32_t>(sc))
             .push_back(l.key, l.object, l.point);
-      }
+      });
     }
   }
 }

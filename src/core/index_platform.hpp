@@ -241,8 +241,7 @@ class IndexPlatform {
   /// window, and admission control. Enabling any knob instantiates the
   /// per-node ServeState; a fully-disabled options struct tears it down
   /// (dropping caches and counters — benches use this between rungs).
-  /// The constructor applies ServeOptions::from_env(), so the LMK_SERVE_*
-  /// environment switches the tier on without code changes.
+  /// The tier starts off; this call is the only way to switch it on.
   void set_serve_options(const ServeOptions& opts);
 
   /// The live serving state, or nullptr with the tier off.
@@ -384,7 +383,25 @@ class IndexPlatform {
     bool pooled = false;  ///< buf came from reply_pool_
   };
 
-  [[nodiscard]] std::vector<ChordNode*> replica_nodes(Id key) const;
+  /// Visit the nodes holding `key`'s copies: the owner, then up to
+  /// replication - 1 distinct successors (fewer on a smaller ring).
+  /// Allocation-free.
+  template <typename Fn>
+  void for_each_replica(Id key, Fn&& fn) const {
+    ChordNode* const owner = ring_.oracle_successor(key);
+    fn(*owner);
+    ChordNode* cur = owner;
+    for (std::size_t copies = 1; copies < opts_.replication; ++copies) {
+      cur = ring_.oracle_successor(cur->id() + 1);
+      if (cur == owner) break;  // ring smaller than the replication degree
+      fn(*cur);
+    }
+  }
+  /// Shared placement loop of bulk_insert / bulk_insert_flat: `row(i)`
+  /// is point i's coordinates, placed as object first_object + i.
+  template <typename RowFn>
+  void bulk_place(std::uint32_t scheme, std::size_t n,
+                  std::uint64_t first_object, RowFn row);
   NodeStore& store_of(const ChordNode& n);
   SchemeStore& scheme_store(const ChordNode& n, std::uint32_t scheme);
   /// Mutable entry store for bulk writers; bumps the store version so
@@ -456,7 +473,7 @@ class IndexPlatform {
   /// byte-identical). See src/serve/serve.hpp for the knobs.
   std::unique_ptr<ServeState> serve_;
   /// Gather scratch for cache fills (object ids + flat coords of the
-  /// current solve's hits) and for LMK_SERVE_VERIFY re-solves.
+  /// current solve's hits) and for verify_hits re-solves.
   std::vector<std::uint64_t> cache_objs_;
   std::vector<double> cache_coords_;
   std::vector<std::uint32_t> verify_hits_;

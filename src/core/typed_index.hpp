@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/index_platform.hpp"
+#include "core/top_k.hpp"
 #include "landmark/mapper.hpp"
 
 namespace lmk {
@@ -202,27 +203,21 @@ class LandmarkIndex {
 
   /// Merge-and-refine for top-k retrieval: true metric distances over
   /// the candidate union, keep the k nearest (ties by id for
-  /// determinism).
+  /// determinism). Candidate lists merged from several retrieval rounds
+  /// may repeat ids; duplicates never occupy top-k slots. Reentrant:
+  /// all scratch is local.
   [[nodiscard]] std::vector<std::uint64_t> refine_knn(
       const Point& q, std::span<const std::uint64_t> candidates,
       const ObjectFn& object, std::size_t k) const {
-    std::vector<std::pair<double, std::uint64_t>> scored;
-    scored.reserve(candidates.size());
-    for (std::uint64_t id : candidates) {
-      scored.emplace_back(space_->distance(q, object(id)), id);
+    std::vector<double> dists(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      dists[i] = space_->distance(q, object(candidates[i]));
     }
-    std::sort(scored.begin(), scored.end());
-    // Candidate lists merged from several retrieval rounds may repeat
-    // ids; duplicates must not occupy top-k slots.
-    scored.erase(std::unique(scored.begin(), scored.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.second == b.second;
-                             }),
-                 scored.end());
-    if (scored.size() > k) scored.resize(k);
+    std::vector<std::pair<double, std::uint64_t>> top;
+    select_top_k(candidates, dists, k, top);
     std::vector<std::uint64_t> out;
-    out.reserve(scored.size());
-    for (const auto& [d, id] : scored) out.push_back(id);
+    out.reserve(top.size());
+    for (const auto& [d, id] : top) out.push_back(id);
     return out;
   }
 

@@ -2,29 +2,14 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 
 namespace lmk {
 
-namespace {
-
-std::size_t env_resident_cap() {
-  const char* v = std::getenv("LMK_SWEEP_RESIDENT");
-  if (v != nullptr && *v != '\0') {
-    long n = std::strtol(v, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
-  return 0;
-}
-
-}  // namespace
-
 std::size_t SweepDriver::resident_cap() const {
   std::size_t cap = opts_.max_resident;
-  if (cap == 0) cap = env_resident_cap();
   if (cap == 0) cap = thread_count();
   return cap == 0 ? 1 : cap;
 }

@@ -20,8 +20,7 @@
 //  * At most `resident_cap()` cells are resident (constructed, running,
 //    not yet destroyed) at once, bounding peak memory to
 //    cap × stack-size even at full paper scale. The cap comes from
-//    Options::max_resident, else LMK_SWEEP_RESIDENT, else the pool
-//    thread count.
+//    Options::max_resident, else the pool thread count.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +46,8 @@ struct CellOutput {
 class SweepDriver {
  public:
   struct Options {
-    /// Maximum cells resident at once (0 = LMK_SWEEP_RESIDENT env var,
-    /// else the pool thread count). Clamped to >= 1.
+    /// Maximum cells resident at once (0 = the pool thread count).
+    /// Clamped to >= 1.
     std::size_t max_resident = 0;
   };
 

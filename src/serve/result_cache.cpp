@@ -6,9 +6,8 @@
 
 namespace lmk {
 
-ResultCache::ResultCache(std::size_t slots, std::size_t max_entries,
-                         std::int64_t ttl)
-    : budget_(slots), max_entries_(max_entries), ttl_(ttl) {
+ResultCache::ResultCache(std::size_t slots, std::size_t max_entries)
+    : budget_(slots), max_entries_(max_entries) {
   slots_.reserve(budget_);
   digests_.reserve(budget_);
 }
@@ -44,7 +43,7 @@ bool ResultCache::region_equal(const Region& a, const Region& b) {
 // mutated point on every index node — they must not allocate in steady
 // state (the bench_perf serve phase holds them to zero under the PR 7
 // alloc gate).
-bool ResultCache::probe(const Region& region, std::int64_t now,
+bool ResultCache::probe(const Region& region,
                         std::span<const std::uint64_t>* objects,
                         std::span<const double>* coords, std::size_t* dims) {
   if (budget_ == 0) return false;
@@ -54,10 +53,6 @@ bool ResultCache::probe(const Region& region, std::int64_t now,
     Slot& s = slots_[i];
     if (!s.valid || digests_[i] != digest) continue;
     if (!region_equal(s.region, region)) continue;
-    if (ttl_ > 0 && now - s.filled_at > ttl_) {
-      s.valid = false;  // expired; fall through to miss so it refills
-      break;
-    }
     s.last_used = ++tick_;
     stats_.hits += 1;
     *objects = std::span<const std::uint64_t>(s.objects);
@@ -85,7 +80,7 @@ void ResultCache::invalidate_all() {
   stats_.wipes += 1;
 }
 
-void ResultCache::insert(const Region& region, std::int64_t now,
+void ResultCache::insert(const Region& region,
                          std::span<const std::uint64_t> objects,
                          std::span<const double> coords, std::size_t dims) {
   if (budget_ == 0) return;
@@ -139,7 +134,6 @@ void ResultCache::insert(const Region& region, std::int64_t now,
   s.objects.assign(objects.begin(), objects.end());
   s.coords.assign(coords.begin(), coords.end());
   s.dims = dims;
-  s.filled_at = now;
   s.last_used = ++tick_;
   s.valid = true;
   digests_[target_i] = digest;

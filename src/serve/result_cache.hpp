@@ -13,8 +13,8 @@
 // transfer, scheme clear, replication repair), wipes the whole
 // per-scheme cache (`invalidate_all`). Stale hits are a correctness
 // bug, not a quality knob: serve_test.cpp cross-checks every cached
-// answer against a brute-force oracle, and LMK_SERVE_VERIFY re-solves
-// hits in-line.
+// answer against a brute-force oracle, and ServeOptions::verify_hits
+// re-solves hits in-line.
 //
 // Determinism: fixed slot budget, linear probe (slot order never
 // depends on pointer values or hash-map iteration), LRU by a local
@@ -61,25 +61,22 @@ struct CacheStats {
 class ResultCache {
  public:
   /// `slots`: fixed LRU budget (0 disables). `max_entries`: hit-lists
-  /// larger than this are not cached (0 = unlimited). `ttl`: virtual-
-  /// time expiry in simulator ticks (0 = no TTL).
-  ResultCache(std::size_t slots, std::size_t max_entries, std::int64_t ttl);
+  /// larger than this are not cached (0 = unlimited).
+  ResultCache(std::size_t slots, std::size_t max_entries);
 
-  /// Probe for a region filled at or after `now - ttl`. On hit, bumps
-  /// LRU and returns the slot's hits via the out spans; on miss (or
-  /// expired slot) returns false. The returned spans are valid until
-  /// the next non-const call.
-  [[nodiscard]] bool probe(const Region& region, std::int64_t now,
+  /// Probe for a cached region. On hit, bumps LRU and returns the
+  /// slot's hits via the out spans; on miss returns false. The returned
+  /// spans are valid until the next non-const call.
+  [[nodiscard]] bool probe(const Region& region,
                            std::span<const std::uint64_t>* objects,
                            std::span<const double>* coords,
                            std::size_t* dims);
 
-  /// Cache `region -> (objects, flat coords)` at time `now`, evicting
-  /// the least-recently-used valid slot when full. Skips (and counts)
+  /// Cache `region -> (objects, flat coords)`, evicting the
+  /// least-recently-used valid slot when full. Skips (and counts)
   /// hit-lists larger than max_entries. Replaces an existing slot for
   /// the same region instead of duplicating it.
-  void insert(const Region& region, std::int64_t now,
-              std::span<const std::uint64_t> objects,
+  void insert(const Region& region, std::span<const std::uint64_t> objects,
               std::span<const double> coords, std::size_t dims);
 
   /// Coverage-based invalidation: drop every slot whose cached region
@@ -100,7 +97,6 @@ class ResultCache {
     std::vector<std::uint64_t> objects;
     std::vector<double> coords;  // flat, dims doubles per object
     std::size_t dims = 0;
-    std::int64_t filled_at = 0;
     std::uint64_t last_used = 0;
     bool valid = false;
   };
@@ -112,7 +108,6 @@ class ResultCache {
   std::vector<std::uint64_t> digests_;  // parallel to slots_
   std::size_t budget_;
   std::size_t max_entries_;
-  std::int64_t ttl_;
   std::uint64_t tick_ = 0;
   CacheStats stats_;
 };

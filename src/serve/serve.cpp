@@ -1,53 +1,6 @@
 #include "serve/serve.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "common/check.hpp"
-
 namespace lmk {
-
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  LMK_CHECK_MSG(end != env && *end == '\0',
-                "%s must be a non-negative integer, got \"%s\"", name, env);
-  return static_cast<std::uint64_t>(v);
-}
-
-bool env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-}
-
-}  // namespace
-
-ServeOptions ServeOptions::from_env() {
-  ServeOptions o;
-  o.cache_enabled = env_flag("LMK_SERVE_CACHE");
-  o.cache_slots = static_cast<std::size_t>(
-      env_u64("LMK_SERVE_CACHE_SLOTS", o.cache_slots));
-  o.cache_max_entries = static_cast<std::size_t>(
-      env_u64("LMK_SERVE_CACHE_MAX_ENTRIES", o.cache_max_entries));
-  o.cache_ttl = static_cast<SimTime>(env_u64("LMK_SERVE_CACHE_TTL_MS", 0)) *
-                kMillisecond;
-  o.coalesce_window =
-      static_cast<SimTime>(env_u64("LMK_SERVE_WINDOW_MS", 0)) * kMillisecond;
-  o.queue_limit =
-      static_cast<std::uint32_t>(env_u64("LMK_SERVE_QUEUE_LIMIT", 0));
-  o.service_time = static_cast<SimTime>(env_u64("LMK_SERVE_SERVICE_US", 0));
-  o.backoff =
-      static_cast<SimTime>(env_u64("LMK_SERVE_BACKOFF_MS", 5)) * kMillisecond;
-  o.max_retries =
-      static_cast<int>(env_u64("LMK_SERVE_MAX_RETRIES",
-                               static_cast<std::uint64_t>(o.max_retries)));
-  o.verify_hits = env_flag("LMK_SERVE_VERIFY");
-  return o;
-}
 
 ServeState::NodeServe& ServeState::node(HostId host) {
   if (host >= nodes_.size()) {
@@ -60,7 +13,7 @@ ResultCache& ServeState::cache(HostId host, std::uint32_t scheme) {
   NodeServe& ns = node(host);
   while (ns.per_scheme.size() <= scheme) {
     ns.per_scheme.emplace_back(opts_.cache_on() ? opts_.cache_slots : 0,
-                               opts_.cache_max_entries, opts_.cache_ttl);
+                               opts_.cache_max_entries);
   }
   return ns.per_scheme[scheme];
 }

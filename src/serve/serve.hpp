@@ -1,22 +1,10 @@
 // Serving-layer configuration and per-node serving state (ROADMAP
 // item 4): hot-result caches, the router's cross-query coalescing
 // window, and load-aware admission control. IndexPlatform owns one
-// ServeState when any knob is enabled; everything is off by default so
-// the fig2/fig3 pipelines stay byte-identical.
-//
-// All knobs are env-driven (`LMK_SERVE_*`) so any bench or test can
-// switch the serving tier on without code changes:
-//
-//   LMK_SERVE_CACHE=1             enable per-node hot-result caches
-//   LMK_SERVE_CACHE_SLOTS=64      LRU slot budget per (node, scheme)
-//   LMK_SERVE_CACHE_MAX_ENTRIES=256  largest hit-list worth caching
-//   LMK_SERVE_CACHE_TTL_MS=0      virtual-time expiry (0 = none)
-//   LMK_SERVE_WINDOW_MS=0         router coalescing window Δt
-//   LMK_SERVE_QUEUE_LIMIT=0       admission threshold (0 = off)
-//   LMK_SERVE_SERVICE_US=0        modeled per-subquery service time
-//   LMK_SERVE_BACKOFF_MS=5        origin retry-after base (doubles)
-//   LMK_SERVE_MAX_RETRIES=8       shed ceiling before the drop
-//   LMK_SERVE_VERIFY=1            re-solve every cache hit (oracle)
+// ServeState once IndexPlatform::set_serve_options enables any option;
+// everything is off by default so the fig2/fig3 pipelines stay
+// byte-identical. The tier is configured in code only: no environment
+// variable switches it on.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +20,9 @@ struct ServeOptions {
   bool cache_enabled = false;
   std::size_t cache_slots = 64;
   std::size_t cache_max_entries = 256;
-  SimTime cache_ttl = 0;       ///< 0 = no TTL
   SimTime coalesce_window = 0; ///< 0 = per-episode flush (unchanged)
   std::uint32_t queue_limit = 0;  ///< solve-queue depth; 0 = admission off
   SimTime service_time = 0;    ///< modeled per-subquery solve occupancy
-  SimTime backoff = 0;         ///< retry-after base; set by from_env
   /// Sheds a subquery absorbs before the still-saturated node drops it
   /// (load shedding proper: the query completes without that node's
   /// hits, recorded in QueryOutcome::lost_subqueries).
@@ -51,11 +37,6 @@ struct ServeOptions {
     return cache_on() || admission_on() || coalesce_window > 0 ||
            service_time > 0;
   }
-
-  /// Read every LMK_SERVE_* knob (missing = the defaults above, with
-  /// backoff defaulting to 5 ms). Configuration, not entropy: the same
-  /// environment always yields the same options.
-  [[nodiscard]] static ServeOptions from_env();
 };
 
 /// Serving-tier counters aggregated across nodes (cache stats live in

@@ -167,6 +167,36 @@ TEST(BannedAbort, AllowCommentSuppresses) {
   EXPECT_TRUE(fs.empty());
 }
 
+// ----- env-read -----
+
+TEST(EnvRead, FlagsGetenvInSrc) {
+  auto fs = lint_source("src/serve/serve.cpp",
+                        "const char* v = std::getenv(\"LMK_X\");\n");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "env-read");
+  EXPECT_EQ(fs[0].line, 1);
+  // A path that reaches src/ from elsewhere is in scope too.
+  EXPECT_TRUE(has_rule(lint_source("/work/repo/src/eval/sweep.cpp",
+                                   "auto v = getenv(\"LMK_X\");\n"),
+                       "env-read"));
+}
+
+TEST(EnvRead, AllowCommentSuppresses) {
+  auto fs = lint_source(
+      "src/common/parallel.cpp",
+      "// lmk-lint: allow(env-read) the pool width is a host setting\n"
+      "const char* v = std::getenv(\"LMK_THREADS\");\n");
+  EXPECT_TRUE(fs.empty());
+}
+
+TEST(EnvRead, BenchAndToolsAreOutOfScope) {
+  const char* read = "const char* v = std::getenv(\"LMK_NODES\");\n";
+  FileOptions bench;
+  bench.bench = true;
+  EXPECT_TRUE(lint_source("bench/bench_common.hpp", read, bench).empty());
+  EXPECT_TRUE(lint_source("tools/sched/main.cpp", read).empty());
+}
+
 // ----- unordered-iteration -----
 
 TEST(UnorderedIteration, FlagsRangeForOverUnorderedMap) {

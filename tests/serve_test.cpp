@@ -36,18 +36,18 @@ TEST(LinfBoxDistance, ZeroInsidePositiveOutside) {
 }
 
 TEST(ResultCache, HitMissAndLruEviction) {
-  ResultCache cache(/*slots=*/2, /*max_entries=*/0, /*ttl=*/0);
+  ResultCache cache(/*slots=*/2, /*max_entries=*/0);
   const std::uint64_t objs_a[] = {1, 2};
   const double coords_a[] = {0.25, 0.25, 0.3, 0.3};
   const std::uint64_t objs_b[] = {7};
   const double coords_b[] = {0.6, 0.6};
-  cache.insert(box2(0.2, 0.4), 0, objs_a, coords_a, 2);
-  cache.insert(box2(0.5, 0.7), 0, objs_b, coords_b, 2);
+  cache.insert(box2(0.2, 0.4), objs_a, coords_a, 2);
+  cache.insert(box2(0.5, 0.7), objs_b, coords_b, 2);
 
   std::span<const std::uint64_t> o;
   std::span<const double> c;
   std::size_t dims = 0;
-  ASSERT_TRUE(cache.probe(box2(0.2, 0.4), 0, &o, &c, &dims));
+  ASSERT_TRUE(cache.probe(box2(0.2, 0.4), &o, &c, &dims));
   EXPECT_EQ(dims, 2u);
   ASSERT_EQ(o.size(), 2u);
   EXPECT_EQ(o[0], 1u);
@@ -55,21 +55,21 @@ TEST(ResultCache, HitMissAndLruEviction) {
   // Probe bumped A's recency; inserting a third region evicts B.
   const std::uint64_t objs_c[] = {9};
   const double coords_c[] = {0.1, 0.1};
-  cache.insert(box2(0.0, 0.15), 0, objs_c, coords_c, 2);
-  EXPECT_TRUE(cache.probe(box2(0.2, 0.4), 0, &o, &c, &dims));
-  EXPECT_FALSE(cache.probe(box2(0.5, 0.7), 0, &o, &c, &dims));
-  EXPECT_TRUE(cache.probe(box2(0.0, 0.15), 0, &o, &c, &dims));
+  cache.insert(box2(0.0, 0.15), objs_c, coords_c, 2);
+  EXPECT_TRUE(cache.probe(box2(0.2, 0.4), &o, &c, &dims));
+  EXPECT_FALSE(cache.probe(box2(0.5, 0.7), &o, &c, &dims));
+  EXPECT_TRUE(cache.probe(box2(0.0, 0.15), &o, &c, &dims));
   EXPECT_EQ(cache.stats().evictions, 1u);
   // A near-identical region (different hi) is a different key.
-  EXPECT_FALSE(cache.probe(box2(0.2, 0.40001), 0, &o, &c, &dims));
+  EXPECT_FALSE(cache.probe(box2(0.2, 0.40001), &o, &c, &dims));
 }
 
 TEST(ResultCache, CoverageInvalidationIsPrecise) {
-  ResultCache cache(4, 0, 0);
+  ResultCache cache(4, 0);
   const std::uint64_t objs[] = {1};
   const double coords[] = {0.3, 0.3};
-  cache.insert(box2(0.2, 0.4), 0, objs, coords, 2);
-  cache.insert(box2(0.6, 0.8), 0, objs, coords, 2);
+  cache.insert(box2(0.2, 0.4), objs, coords, 2);
+  cache.insert(box2(0.6, 0.8), objs, coords, 2);
 
   // A point outside both regions invalidates neither.
   const double miss[] = {0.5, 0.5};
@@ -83,29 +83,28 @@ TEST(ResultCache, CoverageInvalidationIsPrecise) {
   std::span<const std::uint64_t> o;
   std::span<const double> c;
   std::size_t dims = 0;
-  EXPECT_FALSE(cache.probe(box2(0.2, 0.4), 0, &o, &c, &dims));
-  EXPECT_TRUE(cache.probe(box2(0.6, 0.8), 0, &o, &c, &dims));
+  EXPECT_FALSE(cache.probe(box2(0.2, 0.4), &o, &c, &dims));
+  EXPECT_TRUE(cache.probe(box2(0.6, 0.8), &o, &c, &dims));
   EXPECT_EQ(cache.stats().point_invalidations, 1u);
   cache.invalidate_all();
   EXPECT_EQ(cache.live_slots(), 0u);
 }
 
-TEST(ResultCache, TtlExpiresAndOversizeSkips) {
-  ResultCache cache(2, /*max_entries=*/1, /*ttl=*/100);
-  const std::uint64_t one[] = {1};
-  const double coords[] = {0.3, 0.3};
-  cache.insert(box2(0.2, 0.4), /*now=*/50, one, coords, 2);
+TEST(ResultCache, OversizeSkips) {
+  ResultCache cache(2, /*max_entries=*/1);
   std::span<const std::uint64_t> o;
   std::span<const double> c;
   std::size_t dims = 0;
-  EXPECT_TRUE(cache.probe(box2(0.2, 0.4), 100, &o, &c, &dims));
-  EXPECT_TRUE(cache.probe(box2(0.2, 0.4), 150, &o, &c, &dims));  // age 100
-  EXPECT_FALSE(cache.probe(box2(0.2, 0.4), 151, &o, &c, &dims));
+  // A hit-list at the limit is cached.
+  const std::uint64_t one[] = {1};
+  const double coords[] = {0.3, 0.3};
+  cache.insert(box2(0.2, 0.4), one, coords, 2);
+  EXPECT_TRUE(cache.probe(box2(0.2, 0.4), &o, &c, &dims));
   // Oversized hit-lists are skipped, not truncated.
   const std::uint64_t two[] = {1, 2};
   const double coords2[] = {0.3, 0.3, 0.35, 0.35};
-  cache.insert(box2(0.5, 0.6), 0, two, coords2, 2);
-  EXPECT_FALSE(cache.probe(box2(0.5, 0.6), 0, &o, &c, &dims));
+  cache.insert(box2(0.5, 0.6), two, coords2, 2);
+  EXPECT_FALSE(cache.probe(box2(0.5, 0.6), &o, &c, &dims));
   EXPECT_EQ(cache.stats().oversize_skips, 1u);
 }
 
@@ -151,7 +150,7 @@ ServeOptions cache_only_options() {
 /// Randomized insert/extract/migration trace with interleaved queries
 /// against a rotated scheme: every query's result set must equal the
 /// brute-force oracle id-for-id — a stale cache hit either diverges
-/// here or trips the in-line LMK_SERVE_VERIFY re-solve. With the cache
+/// here or trips the in-line verify_hits re-solve. With the cache
 /// off every probe reads the local stores that single-entry writes
 /// maintain in place; with replication each write updates every copy.
 void run_mutation_trace(std::size_t replication, bool cache) {
@@ -291,7 +290,6 @@ ServeOptions overload_options() {
   ServeOptions so;
   so.queue_limit = 2;
   so.service_time = 2 * kMillisecond;
-  so.backoff = 5 * kMillisecond;
   so.max_retries = 3;  // low ceiling so ceiling drops happen too
   return so;
 }

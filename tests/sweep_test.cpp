@@ -5,7 +5,6 @@
 #include "eval/sweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
@@ -79,20 +78,17 @@ TEST(SweepDriver, ResidentCapBoundsConcurrentCells) {
   EXPECT_LE(driver.peak_resident(), 2u);
 }
 
+// The cap's only environment input is the pool width, which
+// LMK_THREADS sets (here set_threads stands in for it).
 TEST(SweepDriver, ResidentCapFromEnvironment) {
   ThreadGuard guard;
   set_threads(8);
-  ::setenv("LMK_SWEEP_RESIDENT", "3", 1);
   SweepDriver driver;
-  EXPECT_EQ(driver.resident_cap(), 3u);
-  ::unsetenv("LMK_SWEEP_RESIDENT");
-  EXPECT_EQ(driver.resident_cap(), 8u);  // falls back to the pool width
+  EXPECT_EQ(driver.resident_cap(), 8u);  // defaults to the pool width
   SweepDriver::Options opts;
   opts.max_resident = 5;
-  ::setenv("LMK_SWEEP_RESIDENT", "3", 1);
   SweepDriver explicit_cap(opts);
-  EXPECT_EQ(explicit_cap.resident_cap(), 5u);  // options beat the env var
-  ::unsetenv("LMK_SWEEP_RESIDENT");
+  EXPECT_EQ(explicit_cap.resident_cap(), 5u);  // options beat the pool
 }
 
 // ---------------------------------------------------------------------

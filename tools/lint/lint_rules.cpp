@@ -43,14 +43,15 @@ namespace {
 
 /// Every identifier token any rule cares about, sorted (ASCII) for
 /// binary search. Adding a rule means adding its tokens here.
-constexpr std::array<std::string_view, 58> kIndexedTokens = {
+constexpr std::array<std::string_view, 59> kIndexedTokens = {
     "EntryView",     "_Exit",          "abort",
     "alive_count",   "alive_nodes",    "allocate",
     "allocate_span", "below",          "bootstrap",
     "clock_gettime", "default_random_engine",
     "emplace",       "emplace_back",   "exit",
     "exponential",   "fix_fingers",    "fix_neighbors",
-    "for",           "function",       "getrandom",
+    "for",           "function",       "getenv",
+    "getrandom",
     "gettimeofday",  "gmtime",         "guarded_span",
     "high_resolution_clock",           "localtime",
     "make_shared",   "make_unique",    "map",
@@ -389,6 +390,26 @@ void rule_banned_abort(const Ctx& ctx) {
                        "the only module allowed to terminate");
       }
     }
+  }
+}
+
+// --- env-read: environment reads inside the library ---
+// The library is configured in code (options structs), so a run's
+// behaviour is set by the program that builds it. Only the pool width
+// (LMK_THREADS) and the auditor switch (LMK_AUDIT) come from the
+// environment, each read annotated. Scoped by path to files under a
+// src/ directory: the bench harness and the tools read their own knobs.
+void rule_env_read(const Ctx& ctx) {
+  const bool library =
+      ctx.path.rfind("src/", 0) == 0 ||
+      ctx.path.find("/src/") != std::string_view::npos;
+  if (!library) return;
+  for (std::size_t pos : ctx.idx->positions("getenv")) {
+    if (is_member_access(ctx.stripped, pos)) continue;
+    ctx.report(pos, "env-read",
+               "'getenv' in src/: configure the library through its "
+               "options in code, or justify with "
+               "`// lmk-lint: allow(env-read) <reason>`");
   }
 }
 
@@ -1217,6 +1238,7 @@ std::vector<Finding> lint_source(std::string_view path,
   timed("banned-source", [&] { rule_banned_source(ctx); });
   timed("wall-clock", [&] { rule_wall_clock(ctx); });
   timed("banned-abort", [&] { rule_banned_abort(ctx); });
+  timed("env-read", [&] { rule_env_read(ctx); });
   timed("pointer-key", [&] { rule_pointer_key(ctx); });
   timed("mutable-global", [&] { rule_mutable_global(ctx); });
   timed("unordered-iteration", [&] { rule_unordered_iteration(ctx); });

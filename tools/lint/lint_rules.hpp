@@ -25,6 +25,13 @@
 //                        every fatal path prints expr/file/line
 //                        diagnostics.
 //
+//   env-read             No std::getenv in src/ (files under a src/
+//                        directory): the library is configured in code,
+//                        through its options structs. The two reads
+//                        that stay (LMK_THREADS, LMK_AUDIT) carry
+//                        `// lmk-lint: allow(env-read) <reason>`. The
+//                        bench harness and tools/ are out of scope.
+//
 //   unordered-iteration  No iteration over std::unordered_map /
 //                        std::unordered_set: iteration order is
 //                        implementation-defined, so anything it feeds —
