@@ -24,13 +24,15 @@ std::vector<ChordNode*> LoadBalancer::probe_set(ChordNode& n) const {
   std::unordered_set<ChordNode*> seen{&n};
   std::vector<ChordNode*> frontier{&n};
   std::vector<ChordNode*> out;
+  // Once `out` is full nothing more can join it, so the size test comes
+  // before the hash lookup and the BFS stops at the first full node.
+  const auto full = [&] { return out.size() >= opts_.max_probe_set; };
   for (int level = 0; level < opts_.probe_level && !frontier.empty();
        ++level) {
     std::vector<ChordNode*> next;
     for (ChordNode* cur : frontier) {
       auto consider = [&](const NodeRef& r) {
-        if (!r.valid() || seen.count(r.node) != 0) return;
-        if (out.size() >= opts_.max_probe_set) return;
+        if (full() || !r.valid() || seen.count(r.node) != 0) return;
         seen.insert(r.node);
         out.push_back(r.node);
         next.push_back(r.node);
@@ -39,6 +41,7 @@ std::vector<ChordNode*> LoadBalancer::probe_set(ChordNode& n) const {
       for (const NodeRef& f : cur->finger_table()) consider(f);
       NodeRef p = cur->predecessor();
       consider(p);
+      if (full()) return out;
     }
     frontier = std::move(next);
   }

@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "common/alloc_guard.hpp"
+#include "common/check.hpp"
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
@@ -150,8 +152,14 @@ std::size_t env_threads() {
   // lmk-lint: allow(env-read) the pool width is a host setting
   const char* v = std::getenv("LMK_THREADS");
   if (v != nullptr && *v != '\0') {
-    long n = std::strtol(v, nullptr, 10);
-    if (n >= 1) return static_cast<std::size_t>(n);
+    // Strict, like the benches' env parser: "3x", "0" or "-1" stop the
+    // run instead of silently picking a pool width.
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(v, &end, 10);
+    LMK_CHECK_MSG(end != v && *end == '\0' && errno == 0 && n >= 1,
+                  "LMK_THREADS must be a positive integer, got \"%s\"", v);
+    return static_cast<std::size_t>(n);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

@@ -22,11 +22,48 @@
 #include <string>
 #include <vector>
 
+#include "common/prefetch.hpp"
 #include "core/index_platform.hpp"
 #include "core/top_k.hpp"
 #include "landmark/mapper.hpp"
 
 namespace lmk {
+
+/// How many candidates ahead of the one being measured measure_batch
+/// prefetches a row. Four 100-dim rows (~3.2 KB) are in flight at once;
+/// chosen by measurement (DESIGN.md "Flush-time batch ranking").
+inline constexpr std::size_t kRankPrefetchAhead = 4;
+
+/// The one true-distance kernel: out[i] = space.distance(q, object(ids[i]))
+/// for every i. Every candidate's object address is gathered first, with
+/// a prefetch of the object itself (a container's header); then the
+/// distances are measured in order while the rows of the next
+/// kRankPrefetchAhead candidates are on their way, so the corpus misses
+/// of a batch overlap instead of stalling one distance each. Scores are
+/// bit-identical to calling space.distance per candidate. `points` is
+/// caller-owned scratch, so a const, reentrant caller can pass a local.
+template <MetricSpace S, typename ObjectOf>
+void measure_batch(const S& space, const typename S::Point& q,
+                   std::span<const std::uint64_t> ids, const ObjectOf& object,
+                   std::vector<const typename S::Point*>& points,
+                   std::span<double> out) {
+  LMK_CHECK(out.size() == ids.size());
+  const std::size_t n = ids.size();
+  points.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    points[i] = &object(ids[i]);
+    prefetch_object(*points[i]);
+  }
+  for (std::size_t i = 0; i < std::min(kRankPrefetchAhead, n); ++i) {
+    prefetch_row(*points[i]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kRankPrefetchAhead < n) {
+      prefetch_row(*points[i + kRankPrefetchAhead]);
+    }
+    out[i] = space.distance(q, *points[i]);
+  }
+}
 
 /// One typed index scheme living on an IndexPlatform.
 template <MetricSpace S>
@@ -126,18 +163,10 @@ class LandmarkIndex {
     IndexPlatform::RankFn rank;
     if (objects_) {
       // One call per (query, node) reply, at flush, over every candidate
-      // the reply holds. Gather the object pointers first, then measure:
-      // the corpus loads of the whole batch are independent, so their
-      // cache misses overlap instead of each stalling one distance.
+      // the reply holds, through the prefetching batch kernel.
       rank = [this, q](std::span<const std::uint64_t> ids,
                        std::span<double> out) {
-        rank_points_.resize(ids.size());
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          rank_points_[i] = &objects_(ids[i]);
-        }
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          out[i] = space_->distance(q, *rank_points_[i]);
-        }
+        measure_batch(*space_, q, ids, objects_, rank_points_, out);
       };
     }
     platform_->range_query(origin, scheme_, mapper_.map_unclamped(q), r,
@@ -194,9 +223,12 @@ class LandmarkIndex {
   [[nodiscard]] std::vector<std::uint64_t> refine_range(
       const Point& q, double r, std::span<const std::uint64_t> candidates,
       const ObjectFn& object) const {
+    std::vector<const Point*> points;
+    std::vector<double> dists(candidates.size());
+    measure_batch(*space_, q, candidates, object, points, dists);
     std::vector<std::uint64_t> out;
-    for (std::uint64_t id : candidates) {
-      if (space_->distance(q, object(id)) <= r) out.push_back(id);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (dists[i] <= r) out.push_back(candidates[i]);
     }
     return out;
   }
@@ -209,10 +241,9 @@ class LandmarkIndex {
   [[nodiscard]] std::vector<std::uint64_t> refine_knn(
       const Point& q, std::span<const std::uint64_t> candidates,
       const ObjectFn& object, std::size_t k) const {
+    std::vector<const Point*> points;
     std::vector<double> dists(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      dists[i] = space_->distance(q, object(candidates[i]));
-    }
+    measure_batch(*space_, q, candidates, object, points, dists);
     std::vector<std::pair<double, std::uint64_t>> top;
     select_top_k(candidates, dists, k, top);
     std::vector<std::uint64_t> out;
@@ -233,9 +264,13 @@ class LandmarkIndex {
           accumulate(state->totals, outcome);
           // Candidates provably complete when >= k lie within r by true
           // distance (the r-ball is inside the searched cube).
+          const std::vector<std::uint64_t>& ids = outcome.results;
+          std::vector<double> dists(ids.size());
+          measure_batch(*space_, q, ids, objects_, rank_points_, dists);
           std::vector<std::pair<double, std::uint64_t>> scored;
-          for (std::uint64_t id : outcome.results) {
-            scored.emplace_back(space_->distance(q, objects_(id)), id);
+          scored.reserve(ids.size());
+          for (std::size_t i = 0; i < ids.size(); ++i) {
+            scored.emplace_back(dists[i], ids[i]);
           }
           std::sort(scored.begin(), scored.end());
           std::size_t within = 0;
@@ -283,8 +318,9 @@ class LandmarkIndex {
   const S* space_;
   LandmarkMapper<S> mapper_;
   ObjectFn objects_;
-  /// Ranking scratch: the gathered object pointers of the current batch.
-  /// Batches never nest (the simulator is single-threaded).
+  /// Ranking scratch: the gathered object pointers of the current batch
+  /// (the ranker's and knn_round's). Batches never nest (the simulator
+  /// is single-threaded).
   std::vector<const Point*> rank_points_;
   std::uint32_t scheme_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/prefetch.hpp"
 
 namespace lmk {
 
@@ -57,6 +58,9 @@ std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
   }
   const auto& ord = order_[best_d];
   for (std::size_t k = best_lo; k < best_hi; ++k) {
+    if (k + kProbePrefetchAhead < best_hi) {
+      prefetch_row(entries.point(ord[k + kProbePrefetchAhead].second));
+    }
     const std::uint32_t ei = ord[k].second;
     std::span<const double> pt = entries.point(ei);
     bool inside = true;

@@ -41,6 +41,12 @@ struct LocalStoreBuildStats {
   std::uint64_t rebuilt_entries = 0;
 };
 
+/// How many slice positions ahead of the entry being checked `range`
+/// prefetches a point: entry indices along a slice are unrelated, so
+/// each point read is a cache miss unless requested early. Chosen by
+/// measurement (DESIGN.md "Local stores").
+inline constexpr std::size_t kProbePrefetchAhead = 16;
+
 /// Sorted order indices over one EntryStore. `range` reports `scanned` —
 /// the number of stored entries whose coordinates were examined.
 class LocalStore {

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "balance/migration.hpp"
 #include "balance/rotation.hpp"
@@ -268,6 +270,61 @@ TEST(Migration, QueriesStillCorrectAfterBalancing) {
     std::set<std::uint64_t> got(outcome->results.begin(),
                                 outcome->results.end());
     EXPECT_EQ(got, expected);
+  }
+}
+
+// The BFS probe_set ran before it learned to stop once full: it kept
+// expanding and hash-testing every neighbour after `out` reached
+// max_probe_set. Kept verbatim as the reference the early return must
+// reproduce element for element.
+std::vector<ChordNode*> reference_probe_set(ChordNode& n, int probe_level,
+                                            std::size_t max_probe_set) {
+  // lmk-lint: allow(pointer-key-unordered) membership test only
+  std::unordered_set<ChordNode*> seen{&n};
+  std::vector<ChordNode*> frontier{&n};
+  std::vector<ChordNode*> out;
+  for (int level = 0; level < probe_level && !frontier.empty(); ++level) {
+    std::vector<ChordNode*> next;
+    for (ChordNode* cur : frontier) {
+      auto consider = [&](const NodeRef& r) {
+        if (!r.valid() || seen.count(r.node) != 0) return;
+        if (out.size() >= max_probe_set) return;
+        seen.insert(r.node);
+        out.push_back(r.node);
+        next.push_back(r.node);
+      };
+      for (const NodeRef& x : cur->successor_list()) consider(x);
+      for (const NodeRef& f : cur->finger_table()) consider(f);
+      consider(cur->predecessor());
+    }
+    frontier = std::move(next);
+  }
+  return out;
+}
+
+TEST(Migration, ProbeSetMatchesFullBfsOnPaperScaleRing) {
+  // The paper's 1740-node ring, at the default probe level and cap (the
+  // cap binds), a cap that binds mid-level, and a cap that never binds.
+  Stack s(1740, 18);
+  const std::vector<ChordNode*> nodes = s.ring->alive_nodes();
+  ASSERT_EQ(nodes.size(), 1740u);
+  const LoadBalancer::Options defaults;
+  struct Setting {
+    int level;
+    std::size_t cap;
+  };
+  for (const Setting& st : {Setting{defaults.probe_level,
+                                    defaults.max_probe_set},
+                            Setting{2, 40}, Setting{2, 100000}}) {
+    LoadBalancer::Options opts;
+    opts.probe_level = st.level;
+    opts.max_probe_set = st.cap;
+    LoadBalancer lb(*s.ring, opts, s.platform->balancer_hooks());
+    for (std::size_t i = 0; i < nodes.size(); i += 29) {
+      EXPECT_EQ(lb.probe_set(*nodes[i]),
+                reference_probe_set(*nodes[i], st.level, st.cap))
+          << "node " << i << " level " << st.level << " cap " << st.cap;
+    }
   }
 }
 

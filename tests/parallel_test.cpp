@@ -5,9 +5,11 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
+#include <cstdlib>
 #include <gtest/gtest.h>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chord/ring.hpp"
@@ -26,6 +28,37 @@ namespace {
 struct ThreadGuard {
   ~ThreadGuard() { set_threads(0); }
 };
+
+TEST(ThreadCount, WellFormedEnvSetsTheWidth) {
+  ThreadGuard guard;
+  set_threads(0);
+  const char* prev = std::getenv("LMK_THREADS");
+  const std::string saved = prev == nullptr ? "" : prev;
+  ::setenv("LMK_THREADS", "3", 1);
+  EXPECT_EQ(thread_count(), 3u);
+  if (prev == nullptr) {
+    ::unsetenv("LMK_THREADS");
+  } else {
+    ::setenv("LMK_THREADS", saved.c_str(), 1);
+  }
+}
+
+TEST(ThreadCountDeathTest, MalformedEnvStopsWithTheParserMessage) {
+  // Each value is read in a child process; none of them starts a pool.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ThreadGuard guard;
+  set_threads(0);
+  for (const char* bad :
+       {"3x", "0", "-2", "abc", " ", "99999999999999999999"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("LMK_THREADS", bad, 1);
+          (void)thread_count();
+        },
+        "LMK_THREADS must be a positive integer")
+        << "LMK_THREADS=\"" << bad << "\"";
+  }
+}
 
 TEST(ParallelFor, EmptyRangeNeverInvokes) {
   ThreadGuard guard;

@@ -127,6 +127,92 @@ TEST(LocalStoreConformance, MemoryBytesReflectsBuiltStructure) {
 }
 
 // ---------------------------------------------------------------------
+// Probe order around the prefetch distance: `range` emits exactly the
+// filtered most-selective slice, in slice order, whether the slice is
+// shorter than kProbePrefetchAhead or runs to the end of its array.
+
+// The probe's contract spelled out: the first dimension with the fewest
+// in-interval entries, walked in (coordinate, index) order.
+std::vector<std::uint32_t> reference_range(const EntryStore& s,
+                                           const Region& r,
+                                           std::size_t* scanned) {
+  std::vector<std::pair<double, std::uint32_t>> best;
+  bool have = false;
+  for (std::size_t d = 0; d < s.dims(); ++d) {
+    std::vector<std::pair<double, std::uint32_t>> slice;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const double v = s.point(i)[d];
+      if (v >= r.ranges[d].lo && v <= r.ranges[d].hi) {
+        slice.emplace_back(v, static_cast<std::uint32_t>(i));
+      }
+    }
+    if (!have || slice.size() < best.size()) {
+      best = std::move(slice);
+      have = true;
+    }
+  }
+  std::sort(best.begin(), best.end());
+  *scanned = best.size();
+  std::vector<std::uint32_t> out;
+  for (const auto& [v, i] : best) {
+    if (inside(s.point(i), r)) out.push_back(i);
+  }
+  return out;
+}
+
+void expect_reference_order(const EntryStore& store, const Region& r,
+                            const char* what) {
+  LocalStore ls;
+  ls.build(store);
+  std::vector<std::uint32_t> out;
+  std::size_t want_scanned = 0;
+  const std::vector<std::uint32_t> want =
+      reference_range(store, r, &want_scanned);
+  EXPECT_EQ(ls.range(store, r, out), want_scanned) << what;
+  EXPECT_EQ(out, want) << what;
+}
+
+TEST(LocalStoreProbeOrder, SliceShorterThanPrefetchDistance) {
+  constexpr std::size_t R = kProbePrefetchAhead;
+  Rng rng(41);
+  // Stores of sizes around R: whole-array slices (which also end at
+  // their array's end) and filtered slices within them.
+  for (std::size_t n : {std::size_t{1}, R - 1, R, R + 1, 2 * R + 3}) {
+    const EntryStore store = random_store(rng, n, 3);
+    expect_reference_order(store, Region{{Interval{0, 1}, Interval{0, 1},
+                                          Interval{0, 1}}},
+                           "whole-array slice");
+    expect_reference_order(store, Region{{Interval{0, 1}, Interval{0.3, 1},
+                                          Interval{0.2, 0.9}}},
+                           "filtered short slice");
+  }
+  // Narrow slices inside a larger store.
+  const EntryStore store = random_store(rng, 600, 4);
+  for (int t = 0; t < 30; ++t) {
+    expect_reference_order(store, random_region(rng, 4, 0.02),
+                           "narrow slice");
+  }
+}
+
+TEST(LocalStoreProbeOrder, SliceEndingAtTheArraysEnd) {
+  Rng rng(42);
+  const EntryStore store = random_store(rng, 600, 4);
+  // Dimension 1's interval reaches past every coordinate, and it is the
+  // most selective one, so the walked slice is its array's tail.
+  for (double lo : {0.999, 0.99, 0.97, 0.9}) {
+    expect_reference_order(store,
+                           Region{{Interval{0.1, 1}, Interval{lo, 2},
+                                   Interval{0, 0.95}, Interval{0.05, 1}}},
+                           "tail slice");
+  }
+  for (int t = 0; t < 30; ++t) {
+    Region r = random_region(rng, 4, 0.6);
+    r.ranges[2] = Interval{rng.uniform(0.8, 1.0), 1.5};
+    expect_reference_order(store, r, "random tail slice");
+  }
+}
+
+// ---------------------------------------------------------------------
 // Exactness as a property over random mutation traces: single-entry
 // writes maintain the structure in place, the extract_if migration path
 // the platform uses rebuilds it.

@@ -1,16 +1,23 @@
-// Tests for the typed facade's extensions: k-NN by radius expansion,
-// landmark re-indexing (the paper's dynamic-dataset future work),
-// landmark quality scoring, and Rocchio query expansion.
+// Tests for the typed facade: the prefetching true-distance kernel and the
+// refinement paths built on it, k-NN by radius expansion, landmark
+// re-indexing (the paper's dynamic-dataset future work), landmark quality
+// scoring, and Rocchio query expansion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/typed_index.hpp"
 #include "eval/ground_truth.hpp"
 #include "ir/expansion.hpp"
 #include "landmark/quality.hpp"
 #include "landmark/selection.hpp"
+#include "metric/edit_distance.hpp"
+#include "metric/sparse_vector.hpp"
 #include "workload/corpus.hpp"
 #include "workload/synthetic.hpp"
 
@@ -67,6 +74,116 @@ struct DenseFixture {
   std::vector<DenseVector> points;
   std::unique_ptr<LandmarkIndex<L2Space>> index;
 };
+
+// ---------------------------------------------------------------------
+// measure_batch: every score equals a per-candidate space.distance
+// exactly (==, no tolerance) around the prefetch distance's edges, with
+// repeated ids, for each shipped point layout.
+
+template <typename S>
+void expect_batch_bit_identical(const S& space,
+                                const std::vector<typename S::Point>& objects,
+                                const typename S::Point& q, Rng& rng) {
+  using Point = typename S::Point;
+  constexpr std::size_t P = kRankPrefetchAhead;
+  const auto object = [&](std::uint64_t id) -> const Point& {
+    return objects[id];
+  };
+  std::vector<const Point*> scratch;  // reused across batches, as pooled
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, P - 1, P, P + 1,
+                        3 * P + 1}) {
+    std::vector<std::uint64_t> ids(n);
+    for (std::uint64_t& id : ids) id = rng.below(objects.size());
+    if (n >= 2) ids[n - 1] = ids[0];  // a repeated id at the far end
+    if (n >= P + 1) ids[P] = ids[1];  // and one a prefetch distance on
+    std::vector<double> out(n, -1.0);
+    measure_batch(space, q, ids, object, scratch, out);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], space.distance(q, objects[ids[i]]))
+          << "batch of " << n << ", position " << i;
+    }
+  }
+}
+
+std::vector<DenseVector> random_rows(Rng& rng, std::size_t n,
+                                     std::size_t dims) {
+  std::vector<DenseVector> rows(n, DenseVector(dims));
+  for (DenseVector& r : rows) {
+    for (double& c : r) c = rng.uniform(-1, 1);
+  }
+  return rows;
+}
+
+TEST(MeasureBatch, DenseScoresAreBitIdentical) {
+  Rng rng(31);
+  // 100 dims: a row spans 13 cache lines.
+  const std::vector<DenseVector> rows = random_rows(rng, 40, 100);
+  const DenseVector q = random_rows(rng, 1, 100)[0];
+  expect_batch_bit_identical(L2Space{}, rows, q, rng);
+  expect_batch_bit_identical(L1Space{}, rows, q, rng);
+}
+
+TEST(MeasureBatch, EditDistanceScoresAreBitIdentical) {
+  Rng rng(32);
+  std::vector<std::string> words;
+  for (int len : {0, 3, 15, 16, 63, 64, 65, 200}) {
+    std::string w;
+    for (int i = 0; i < len; ++i) {
+      w.push_back("ACGT"[rng.below(4)]);
+    }
+    words.push_back(w);
+  }
+  expect_batch_bit_identical(EditDistanceSpace{}, words,
+                             std::string("GATTACAGATTACA"), rng);
+}
+
+TEST(MeasureBatch, SparseScoresAreBitIdentical) {
+  Rng rng(33);
+  auto random_doc = [&rng] {
+    std::vector<SparseEntry> e;
+    const std::size_t terms = 1 + rng.below(30);
+    for (std::size_t i = 0; i < terms; ++i) {
+      e.push_back({static_cast<std::uint32_t>(rng.below(200)),
+                   rng.uniform(0.1, 2.0)});
+    }
+    return SparseVector(std::move(e));
+  };
+  std::vector<SparseVector> docs;
+  for (int i = 0; i < 30; ++i) docs.push_back(random_doc());
+  expect_batch_bit_identical(AngularSpace{}, docs, random_doc(), rng);
+}
+
+TEST(MeasureBatch, RefinementMatchesPerCandidateReference) {
+  // refine_range and refine_knn run on measure_batch; their answers stay
+  // the per-candidate loops' answers id for id, repeated ids included.
+  DenseFixture f;
+  Rng rng(34);
+  const LandmarkIndex<L2Space>::ObjectFn object =
+      [&f](std::uint64_t id) -> const DenseVector& { return f.points[id]; };
+  for (int t = 0; t < 20; ++t) {
+    const DenseVector& q = f.points[rng.below(f.points.size())];
+    std::vector<std::uint64_t> cands(1 + rng.below(300));
+    for (std::uint64_t& id : cands) id = rng.below(f.points.size());
+    cands.push_back(cands.front());
+    const double r = rng.uniform(5, 60);
+    std::vector<std::uint64_t> in_range;
+    std::vector<std::pair<double, std::uint64_t>> scored;
+    for (std::uint64_t id : cands) {
+      const double d = f.space.distance(q, f.points[id]);
+      if (d <= r) in_range.push_back(id);
+      scored.emplace_back(d, id);
+    }
+    std::sort(scored.begin(), scored.end());
+    scored.erase(std::unique(scored.begin(), scored.end()), scored.end());
+    const std::size_t k = 1 + rng.below(12);
+    std::vector<std::uint64_t> nearest;
+    for (std::size_t i = 0; i < std::min(k, scored.size()); ++i) {
+      nearest.push_back(scored[i].second);
+    }
+    EXPECT_EQ(f.index->refine_range(q, r, cands, object), in_range);
+    EXPECT_EQ(f.index->refine_knn(q, cands, object, k), nearest);
+  }
+}
 
 TEST(KnnQuery, RadiusExpansionFindsExactNeighbors) {
   DenseFixture f;

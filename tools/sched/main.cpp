@@ -20,6 +20,7 @@
 //   LMK_SCHED_SEED       first plan seed         (default 1)
 //   LMK_SCHED_DIRECTIVES directives per plan     (default 8)
 //   LMK_SCHED_SHRINK     shrink run budget       (default 64)
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include <string>
 
 #include "audit/explorer.hpp"
+#include "common/check.hpp"
 
 namespace {
 
@@ -36,10 +38,17 @@ using lmk::audit::ExploreOptions;
 using lmk::audit::ExploreResult;
 using lmk::audit::RunResult;
 
+// Strict, like the benches' env parser: a value that does not parse in
+// full ("2k", "-1") stops the run instead of running a different swarm.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  LMK_CHECK_MSG(*v != '-' && end != v && *end == '\0' && errno == 0,
+                "%s must be a non-negative integer, got \"%s\"", name, v);
+  return n;
 }
 
 ExploreOptions options_from_env() {
