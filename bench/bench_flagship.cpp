@@ -9,29 +9,31 @@
 // for completions, so per-node queue depth and tail latency are
 // observable instead of being hidden by back-pressure.
 //
-// Reported, split into two JSON sections:
+// Reported JSON sections, next to the run's "scale":
 //   - "deterministic": everything derived from virtual time and the
-//     seeds — latency percentiles (p50/p99/p999 exact + P² streaming
-//     estimates), per-node reply-queue depth, bytes on the wire,
-//     sampled recall, arena/store/pool memory counters. Byte-identical
-//     for any LMK_THREADS; CI compares this section across thread
-//     counts (LMK_FLAGSHIP_DET_OUT writes it to its own file).
-//   - "wallclock": build/oracle/drain wall times and rates for this
-//     machine (regression-gated loosely by scripts/bench_diff.py).
+//     seeds — exact latency percentiles (p50/p90/p99/p999), per-node
+//     reply-queue depth, bytes on the wire, sampled recall,
+//     arena/store/pool memory counters. Byte-identical for any
+//     LMK_THREADS; CI compares this section across thread counts
+//     (LMK_FLAGSHIP_DET_OUT writes it to its own file).
+//   - "alloc": per-phase allocation counters (non-zero only in an
+//     LMK_ALLOC_GUARD build), gated per arrival by
+//     scripts/bench_diff.py.
+// Wall-clock time is perfbench's job (perfbench/run.py); this bench
+// reports none.
 //
 // Scale: defaults are a smoke configuration that finishes in seconds;
 // LMK_FULL=1 selects the flagship 10000-node / 1,000,000-object run.
 // Individual knobs: LMK_FLAGSHIP_NODES, LMK_FLAGSHIP_OBJECTS,
 // LMK_FLAGSHIP_DIMS, LMK_FLAGSHIP_ARRIVALS, LMK_FLAGSHIP_RATE,
 // LMK_FLAGSHIP_RANGE, LMK_FLAGSHIP_RECALL, LMK_SAMPLE, LMK_SEED.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -43,14 +45,6 @@
 
 namespace lmk::bench {
 namespace {
-
-template <typename Fn>
-double time_s(Fn&& fn) {
-  auto t0 = std::chrono::steady_clock::now();
-  fn();
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 struct FlagshipScale {
   std::size_t nodes;
@@ -114,7 +108,7 @@ int run() {
   // Landmarks from a seeded sample of the stream (k-means, the paper's
   // recommended scheme).
   std::vector<DenseVector> sample_pts;
-  double t_select = time_s([&] {
+  {
     Rng sel(s.seed + 7);
     auto idx = sel.sample_indices(
         static_cast<std::size_t>(s.objects),
@@ -122,13 +116,13 @@ int run() {
                               static_cast<std::size_t>(s.objects)));
     sample_pts.reserve(idx.size());
     for (auto i : idx) sample_pts.push_back(stream.point(i));
-  });
+  }
   std::vector<DenseVector> landmarks;
-  t_select += time_s([&] {
+  {
     Rng rng(s.seed + 8);
     landmarks = kmeans_dense(std::span<const DenseVector>(sample_pts),
                              s.landmarks, rng);
-  });
+  }
   LandmarkMapper<L2Space> mapper(
       space, std::move(landmarks),
       uniform_boundary(s.landmarks, 0, max_dist));
@@ -139,22 +133,16 @@ int run() {
   DelaySpaceModel::Options topo;
   topo.hosts = s.nodes;
   topo.seed = rng.fork().next();
-  double t_topology = 0;
-  std::unique_ptr<DelaySpaceModel> model;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<Ring> ring;
-  t_topology = time_s([&] {
-    model = std::make_unique<DelaySpaceModel>(topo);
-    net = std::make_unique<Network>(sim, *model);
-    Ring::Options ropts;
-    ropts.seed = rng.fork().next();
-    ring = std::make_unique<Ring>(*net, ropts);
-    for (std::size_t h = 0; h < s.nodes; ++h) {
-      ring->create_node(static_cast<HostId>(h));
-    }
-    ring->bootstrap();
-  });
-  IndexPlatform platform(*ring);
+  DelaySpaceModel model(topo);
+  Network net(sim, model);
+  Ring::Options ropts;
+  ropts.seed = rng.fork().next();
+  Ring ring(net, ropts);
+  for (std::size_t h = 0; h < s.nodes; ++h) {
+    ring.create_node(static_cast<HostId>(h));
+  }
+  ring.bootstrap();
+  IndexPlatform platform(ring);
   LandmarkIndex<L2Space> index(platform, space, std::move(mapper),
                                "flagship");
 
@@ -163,7 +151,7 @@ int run() {
   // plus the (SoA) stores, never the corpus.
   Arena scratch;
   AllocCounters build_alloc;
-  double t_build = time_s([&] {
+  {
     AllocPhaseScope phase("stream-build");
     index.stream_load(
         s.objects,
@@ -173,7 +161,7 @@ int run() {
         },
         scratch);
     build_alloc = phase.delta();
-  });
+  }
   LMK_CHECK(platform.scheme_entries(index.scheme_id()) == s.objects);
   ArenaStats build_arena = scratch.stats();
 
@@ -201,7 +189,7 @@ int run() {
   std::unordered_map<std::size_t, std::vector<std::uint64_t>> retrieved;
 
   const double radius = s.range_factor * max_dist;
-  std::vector<ChordNode*> alive = ring->alive_nodes();
+  std::vector<ChordNode*> alive = ring.alive_nodes();
   Rng origin_rng = rng.fork();
 
   // Deterministic per-query numbers (virtual-time latencies).
@@ -295,11 +283,11 @@ int run() {
 
   std::uint64_t ev0 = sim.events_executed();
   AllocCounters query_alloc;
-  double t_query = time_s([&] {
+  {
     AllocPhaseScope phase("open-loop-queries");
     sim.run();
     query_alloc = phase.delta();
-  });
+  }
   std::uint64_t sim_events = sim.events_executed() - ev0;
   sim.set_audit(0, nullptr);
   LMK_CHECK(lat_ms.size() == schedule.size());
@@ -309,18 +297,15 @@ int run() {
   std::vector<DenseVector> sampled_q;
   sampled_q.reserve(sampled.size());
   for (std::size_t si : sampled) sampled_q.push_back(qpts[si]);
-  std::vector<std::vector<std::uint64_t>> truth;
-  double t_oracle = time_s([&] {
-    truth = knn_truth_streamed(
-        space, s.objects,
-        [&](std::uint64_t first, std::span<DenseVector> out) {
-          parallel_for(out.size(), [&](std::size_t j) {
-            out[j].resize(s.dims);
-            stream.point_into(first + j, out[j]);
-          });
-        },
-        std::span<const DenseVector>(sampled_q), /*k=*/10);
-  });
+  std::vector<std::vector<std::uint64_t>> truth = knn_truth_streamed(
+      space, s.objects,
+      [&](std::uint64_t first, std::span<DenseVector> out) {
+        parallel_for(out.size(), [&](std::size_t j) {
+          out[j].resize(s.dims);
+          stream.point_into(first + j, out[j]);
+        });
+      },
+      std::span<const DenseVector>(sampled_q), /*k=*/10);
   Accumulator recall_acc;
   for (std::size_t si = 0; si < sampled.size(); ++si) {
     recall_acc.add(recall(truth[si], retrieved[sampled[si]]));
@@ -559,10 +544,6 @@ int run() {
               static_cast<std::size_t>(off) < sizeof serve_det - 1);
   }
 
-  std::printf("build: select %.3fs  topology %.3fs  stream-load %.3fs "
-              "(%.0f objects/s, batches of 8192)\n",
-              t_select, t_topology, t_build,
-              t_build > 0 ? static_cast<double>(s.objects) / t_build : 0.0);
   std::printf("arena: high-water %llu bytes, reserved %llu bytes, "
               "%llu resets; store %llu bytes\n",
               static_cast<unsigned long long>(build_arena.high_water_bytes),
@@ -587,12 +568,12 @@ int run() {
               static_cast<unsigned long long>(pool.acquires),
               static_cast<unsigned long long>(pool.hits),
               static_cast<unsigned long long>(pool.high_water));
-  std::printf("recall@10 (sampled, %zu queries): %.3f  (oracle %.3fs)\n",
-              sampled.size(), recall_acc.mean(), t_oracle);
+  std::printf("recall@10 (sampled, %zu queries): %.3f\n", sampled.size(),
+              recall_acc.mean());
   std::printf("local store: sorted, %.1f scanned per subquery\n",
               subqueries.sum() > 0 ? scanned.sum() / subqueries.sum() : 0.0);
-  std::printf("query phase: %.3fs wall, %llu sim events, %llu incomplete\n",
-              t_query, static_cast<unsigned long long>(sim_events),
+  std::printf("query phase: %llu sim events, %llu incomplete\n",
+              static_cast<unsigned long long>(sim_events),
               static_cast<unsigned long long>(incomplete));
 
   // The deterministic section is serialized once and embedded in both
@@ -662,16 +643,6 @@ int run() {
       "\"alloc_bytes\": %llu, \"free_bytes\": %llu},\n"
       "    \"open_loop_queries\": {\"allocs\": %llu, \"frees\": %llu, "
       "\"alloc_bytes\": %llu, \"free_bytes\": %llu}\n"
-      "  },\n"
-      "  \"wallclock\": {\n"
-      "    \"select_seconds\": %.6f,\n"
-      "    \"topology_seconds\": %.6f,\n"
-      "    \"build_seconds\": %.6f,\n"
-      "    \"objects_per_sec\": %.1f,\n"
-      "    \"query_seconds\": %.6f,\n"
-      "    \"sim_events_per_sec\": %.1f,\n"
-      "    \"oracle_seconds\": %.6f,\n"
-      "    \"threads\": %zu\n"
       "  }\n"
       "}\n",
       s.nodes, static_cast<unsigned long long>(s.objects), s.dims,
@@ -687,12 +658,7 @@ int run() {
       static_cast<unsigned long long>(query_alloc.allocs),
       static_cast<unsigned long long>(query_alloc.frees),
       static_cast<unsigned long long>(query_alloc.alloc_bytes),
-      static_cast<unsigned long long>(query_alloc.free_bytes),
-      t_select, t_topology,
-      t_build, t_build > 0 ? static_cast<double>(s.objects) / t_build : 0.0,
-      t_query,
-      t_query > 0 ? static_cast<double>(sim_events) / t_query : 0.0,
-      t_oracle, thread_count());
+      static_cast<unsigned long long>(query_alloc.free_bytes));
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 

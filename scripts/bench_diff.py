@@ -1,45 +1,29 @@
 #!/usr/bin/env python3
-"""Performance regression check for BENCH_perf.json.
+"""Regression gates for a bench_flagship run (BENCH_flagship.json).
 
-Compares a freshly produced BENCH_perf.json against the committed
-pre-optimization baseline (bench/BENCH_perf.baseline.json by default)
-and exits nonzero when:
+Compares a freshly produced flagship run against its committed baseline
+(bench/BENCH_flagship.baseline.json by default). Every gate reads the
+*deterministic* section — virtual-time latencies and exact byte counts,
+so they are immune to machine noise and any violation is a real
+behaviour change, not jitter. Wall-clock throughput is perfbench's job
+(perfbench/run.py), not this script's. The run fails when:
 
-  * engine events/sec regressed by more than --threshold (default 25%);
-  * queries/sec regressed by more than --threshold (default 25%);
-  * scanned entries per subquery GREW by more than --scan-threshold
-    (default 50%) — a work metric, not a wall-clock one, so it is
-    immune to machine noise; silent growth usually means the
-    order-index fast path stopped being hit;
-  * the sweep phase's parallel speedup fell below --sweep-floor
-    (default 3x) — enforced only when the measuring machine actually
-    has >= --sweep-min-cores hardware threads and the run used >= that
-    many pool threads, since a 1-2 core container physically cannot
-    show a parallel speedup. Under-provisioned machines print the
-    numbers and skip the gate, with a note saying why.
-
-When a flagship run (BENCH_flagship.json, produced by bench_flagship)
-and its committed baseline are both present, three further gates run on
-the *deterministic* section — virtual-time latencies and exact byte
-counts, so they are immune to machine noise and any violation is a real
-behaviour change, not jitter:
-
-  * p99 response latency must not exceed the baseline's by more than
+  * p99 response latency exceeds the baseline's by more than
     --flagship-latency-threshold (default 10%);
-  * the streaming-build arena high-water mark must stay within
+  * the streaming-build arena high-water mark leaves
     --arena-threshold (default 25%) of the baseline's (the batch-sized
     memory budget of the streaming insert path);
-  * total bytes on the wire must not grow by more than
-    --wire-threshold (default 10%);
-  * recall@10 (deterministic sampled-oracle mean) must not fall below
+  * total bytes on the wire grow by more than --wire-threshold
+    (default 10%);
+  * recall@10 (deterministic sampled-oracle mean) falls below
     --flagship-recall-floor (default 0.90) — an absolute floor, not a
     ratio, so no change can silently trade recall for speed;
-  * scanned entries per subquery must not grow by more than
+  * scanned entries per subquery grow by more than
     --flagship-scan-threshold (default 50%).
 
-The flagship gates are scale-matched: when the current run's "scale"
+The baseline gates are scale-matched: when the current run's "scale"
 section differs from the baseline's (e.g. an LMK_FULL run against the
-committed smoke baseline), the gates are skipped with a note.
+committed smoke baseline), they are skipped with a note.
 
 Serving-tier gates: when the current flagship run carries a
 deterministic "serve" section (produced with LMK_FLAGSHIP_SERVE=1),
@@ -61,15 +45,6 @@ run:
 Serve-off runs carry no "serve" section and the gates auto-skip with a
 printed note, so the default pipelines are unaffected.
 
-Allocation-discipline gate: when the current BENCH_perf.json carries an
-"alloc" section with "guard_enabled": true (an LMK_ALLOC_GUARD build),
-the engine steady-state phase — and, when present, the serving tier's
-cache-probe steady state — must report ZERO allocations and frees.
-This is a correctness property of the engine hot path, not a wall-clock
-number, so it is a HARD failure: it exits nonzero even under
---warn-only. Plain builds (guard_enabled false) skip the gate with a
-note.
-
 Flagship allocation gate: when the current flagship run carries an
 "alloc" section with "guard_enabled": true, the real open-loop query
 phase ("open_loop_queries") must stay at or below
@@ -78,14 +53,10 @@ zero — each query legitimately allocates its outcome, result set,
 rank closure and per-reply id lists — but a per-candidate allocation
 (a rank memo node, an unpooled reply buffer) multiplies the count by
 the ~1.4k candidates of a smoke-scale query and fails the ceiling by
-an order of magnitude. Also a HARD failure.
-
-Throughput on shared CI runners is noisy, so CI invokes this with
---warn-only: the comparison is printed and annotated but never breaks
-the build. Local runs (scripts/check.sh --bench-smoke) fail hard.
-The sweep cells-per-sec is also compared to the baseline's
-informationally (the committed baseline may come from different
-hardware).
+an order of magnitude. This is a HARD failure: it exits nonzero even
+under --warn-only, which softens only the other gates. (The engine and
+result-cache steady states are held to zero allocations by ctests in
+the same alloc-guard build: sim_test and serve_test.)
 
 Malformed input (unreadable file, invalid JSON, a non-numeric value
 where a number is required) exits nonzero with a one-line
@@ -103,17 +74,6 @@ import sys
 # ceiling leaves ~30% headroom over 382 and still sits ~3.5x below a
 # reintroduced per-candidate allocation.
 FLAGSHIP_ALLOC_CEILING = 500.0
-
-
-def load_doc(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as err:
-        sys.exit(f"bench_diff: cannot read {path}: {err}")
-    if not isinstance(doc.get("online"), dict):
-        sys.exit(f"bench_diff: {path} has no \"online\" section")
-    return doc
 
 
 def section(mapping, key, path):
@@ -146,29 +106,18 @@ def inum(mapping, key, path, default=0):
 
 
 def load_flagship(path):
-    """Flagship docs are optional: None (with a reason) when absent."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except OSError:
-        return None, f"{path} not present"
-    except ValueError as err:
-        sys.exit(f"bench_diff: {path} is not valid JSON: {err}")
-    if not isinstance(doc.get("deterministic"), dict):
+    except (OSError, ValueError) as err:
+        sys.exit(f"bench_diff: cannot read {path}: {err}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("deterministic"),
+                                                   dict):
         sys.exit(f"bench_diff: {path} has no \"deterministic\" section")
-    return doc, None
+    return doc
 
 
-def check_flagship(args, gate):
-    base_doc, why = load_flagship(args.flagship_baseline)
-    if base_doc is None:
-        print(f"bench_diff: flagship gates skipped — {why}")
-        return
-    cur_doc, why = load_flagship(args.flagship)
-    if cur_doc is None:
-        print(f"bench_diff: flagship gates skipped — {why}")
-        return
-
+def check_flagship(args, base_doc, cur_doc, gate):
     base_scale = base_doc.get("scale", {})
     cur_scale = cur_doc.get("scale", {})
     if base_scale != cur_scale:
@@ -272,15 +221,11 @@ def check_flagship(args, gate):
               f"{base_q} (informational)")
 
 
-def check_serve(args, gate):
+def check_serve(args, cur_doc, gate):
     """Serving-tier gates on the current flagship run's deterministic
     "serve" section. Absolute gates (the section already holds the
     on-vs-off comparison), so no baseline is consulted; serve-off runs
     carry no section and skip."""
-    cur_doc, why = load_flagship(args.flagship)
-    if cur_doc is None:
-        print(f"bench_diff: serve gates skipped — {why}")
-        return
     serve = cur_doc["deterministic"].get("serve")
     if not isinstance(serve, dict):
         print(f"bench_diff: serve gates skipped — no \"serve\" section in "
@@ -350,64 +295,9 @@ def check_serve(args, gate):
               "(gate skipped)")
 
 
-def check_alloc(cur_doc, path, hard):
-    """Zero-allocation gate on the engine steady-state phase.
-
-    Only meaningful for LMK_ALLOC_GUARD builds (guard_enabled true);
-    plain builds always report zeros because the interposed counters do
-    not exist, and gating on those would be vacuous.
-    """
-    alloc = section(cur_doc, "alloc", path)
-    if not alloc:
-        print("bench_diff: alloc gate skipped — no \"alloc\" section "
-              f"in {path} (pre-guard producer)")
-        return
-    if not alloc.get("guard_enabled"):
-        print("bench_diff: alloc gate skipped — alloc guard disabled "
-              "in this build (configure with -DLMK_ALLOC_GUARD=ON)")
-        return
-    warm = section(alloc, "engine_warmup", path)
-    steady = section(alloc, "engine_steady_state", path)
-    w_allocs = inum(warm, "allocs", path)
-    w_bytes = inum(warm, "alloc_bytes", path)
-    s_allocs = inum(steady, "allocs", path)
-    s_frees = inum(steady, "frees", path)
-    s_bytes = inum(steady, "alloc_bytes", path)
-    print(f"bench_diff: alloc guard — engine warmup {w_allocs:,} allocs "
-          f"/ {w_bytes:,} bytes; steady state {s_allocs:,} allocs, "
-          f"{s_frees:,} frees")
-    if s_allocs > 0 or s_frees > 0:
-        hard(f"engine steady state performed {s_allocs:,} allocations "
-             f"and {s_frees:,} frees ({s_bytes:,} bytes) — the event "
-             f"engine hot path must be allocation-free after warmup")
-    else:
-        print("bench_diff: alloc gate OK (zero steady-state "
-              "allocations)")
-    serve = alloc.get("serve_steady_state")
-    if not isinstance(serve, dict):
-        print("bench_diff: serve alloc gate skipped — no "
-              "\"serve_steady_state\" phase (pre-serve producer)")
-        return
-    v_allocs = inum(serve, "allocs", path)
-    v_frees = inum(serve, "frees", path)
-    v_bytes = inum(serve, "alloc_bytes", path)
-    if v_allocs > 0 or v_frees > 0:
-        hard(f"serve steady state performed {v_allocs:,} allocations "
-             f"and {v_frees:,} frees ({v_bytes:,} bytes) — cache probe "
-             f"and invalidation loops must be allocation-free once "
-             f"filled")
-    else:
-        print("bench_diff: serve alloc gate OK (zero steady-state "
-              "allocations)")
-
-
-def check_flagship_alloc(args, hard):
+def check_flagship_alloc(args, cur_doc, hard):
     """Per-arrival allocation ceiling on the flagship's open-loop query
     phase (alloc-guard builds only)."""
-    cur_doc, why = load_flagship(args.flagship)
-    if cur_doc is None:
-        print(f"bench_diff: flagship alloc gate skipped — {why}")
-        return
     alloc = cur_doc.get("alloc")
     if not isinstance(alloc, dict) or not alloc.get("guard_enabled"):
         print("bench_diff: flagship alloc gate skipped — alloc guard "
@@ -433,7 +323,7 @@ def check_flagship_alloc(args, hard):
         print("bench_diff: flagship alloc gate OK")
 
 
-def finish(args, failures, hard_failures, label):
+def finish(args, failures, hard_failures):
     """Shared exit protocol: soft failures respect --warn-only, hard
     failures (allocation discipline) never do."""
     for msg in failures:
@@ -451,31 +341,16 @@ def finish(args, failures, hard_failures, label):
         return 1
     if failures:
         return 0 if args.warn_only else 1
-    print(f"bench_diff: OK{label}")
+    print("bench_diff: OK")
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", default="bench/BENCH_perf.baseline.json")
-    ap.add_argument("--current", default="BENCH_perf.json")
-    ap.add_argument("--threshold", type=float, default=0.25,
-                    help="allowed fractional wall-clock regression "
-                         "(events/sec, queries/sec)")
-    ap.add_argument("--scan-threshold", type=float, default=0.50,
-                    help="allowed fractional growth of scanned entries "
-                         "per subquery")
-    ap.add_argument("--sweep-floor", type=float, default=3.0,
-                    help="required sweep speedup (tN vs t1) on capable "
-                         "hardware")
-    ap.add_argument("--sweep-min-cores", type=int, default=8,
-                    help="hardware threads (and pool threads) needed "
-                         "before the sweep floor is enforced")
     ap.add_argument("--flagship-baseline",
                     default="bench/BENCH_flagship.baseline.json")
     ap.add_argument("--flagship", default="BENCH_flagship.json",
-                    help="current flagship run (gates skipped when the "
-                         "file is absent)")
+                    help="current flagship run")
     ap.add_argument("--flagship-latency-threshold", type=float,
                     default=0.10,
                     help="allowed fractional growth of the flagship p99 "
@@ -501,11 +376,9 @@ def main():
     ap.add_argument("--serve-overload-mult", type=int, default=4,
                     help="arrival-rate multiple whose ladder rung must "
                          "show shedding-on p99 below serve-off p99")
-    ap.add_argument("--flagship-only", action="store_true",
-                    help="run only the flagship gates (for a CI leg that "
-                         "produces no BENCH_perf.json)")
     ap.add_argument("--warn-only", action="store_true",
-                    help="report regressions but always exit 0 (CI)")
+                    help="report soft regressions without failing; the "
+                         "allocation gate still fails hard")
     args = ap.parse_args()
 
     failures = []
@@ -517,111 +390,12 @@ def main():
     def hard(msg):
         hard_failures.append(msg)
 
-    if args.flagship_only:
-        check_flagship(args, gate)
-        check_serve(args, gate)
-        check_flagship_alloc(args, hard)
-        return finish(args, failures, hard_failures, " (flagship only)")
-
-    base_doc = load_doc(args.baseline)
-    cur_doc = load_doc(args.current)
-    base = base_doc["online"]
-    cur = cur_doc["online"]
-
-    # --- engine events/sec (wall clock, hard floor) ---
-    base_eps = fnum(base, "engine_events_per_sec", args.baseline)
-    cur_eps = fnum(cur, "engine_events_per_sec", args.current)
-    if base_eps <= 0 or cur_eps <= 0:
-        sys.exit(f"bench_diff: {args.current}: missing "
-                 f"engine_events_per_sec")
-    ratio = cur_eps / base_eps
-    floor = 1.0 - args.threshold
-    print(f"bench_diff: engine {cur_eps:,.0f} events/s vs baseline "
-          f"{base_eps:,.0f} ({ratio:.2f}x)")
-    if ratio < floor:
-        gate(f"engine events/sec is {ratio:.2f}x of baseline "
-             f"(floor {floor:.2f}x)")
-
-    # --- queries/sec (wall clock, hard floor) ---
-    base_qps = fnum(base, "queries_per_sec", args.baseline)
-    cur_qps = fnum(cur, "queries_per_sec", args.current)
-    if base_qps > 0 and cur_qps > 0:
-        qratio = cur_qps / base_qps
-        print(f"bench_diff: queries {cur_qps:,.1f}/s vs baseline "
-              f"{base_qps:,.1f}/s ({qratio:.2f}x)")
-        if qratio < floor:
-            gate(f"queries/sec is {qratio:.2f}x of baseline "
-                 f"(floor {floor:.2f}x)")
-    else:
-        print("bench_diff: queries_per_sec missing on one side (skipped)")
-
-    # --- scanned per subquery (work metric, hard ceiling) ---
-    base_scan = fnum(base, "scanned_per_subquery", args.baseline)
-    cur_scan = fnum(cur, "scanned_per_subquery", args.current)
-    if base_scan > 0 and cur_scan > 0:
-        growth = cur_scan / base_scan
-        ceil = 1.0 + args.scan_threshold
-        print(f"bench_diff: scanned/subquery {cur_scan:.1f} vs baseline "
-              f"{base_scan:.1f} ({growth:.2f}x)")
-        if growth > ceil:
-            gate(f"scanned/subquery grew {growth:.2f}x over baseline "
-                 f"(ceiling {ceil:.2f}x) — deterministic work metric, "
-                 f"not noise")
-    else:
-        print("bench_diff: scanned_per_subquery missing on one side "
-              "(skipped)")
-
-    # --- sweep phase: parallel cells throughput ---
-    cur_sweep = cur_doc.get("sweep")
-    if isinstance(cur_sweep, dict):
-        cells = inum(cur_sweep, "cells", args.current)
-        speedup = fnum(cur_sweep, "speedup", args.current)
-        hw = inum(cur_sweep, "hardware_threads", args.current)
-        threads = inum(cur_doc, "threads", args.current)
-        peak = inum(cur_sweep, "peak_resident", args.current)
-        cap = inum(cur_sweep, "resident_cap", args.current)
-        print(f"bench_diff: sweep {cells} cells, speedup {speedup:.2f}x "
-              f"(pool {threads}, hw {hw}, peak resident {peak}/{cap})")
-        if cap > 0 and peak > cap:
-            gate(f"sweep peak resident {peak} exceeded the cap {cap}")
-        base_sweep = base_doc.get("sweep")
-        if isinstance(base_sweep, dict):
-            base_cps = float(base_sweep.get("cells_per_sec_n_threads", 0))
-            cur_cps = float(cur_sweep.get("cells_per_sec_n_threads", 0))
-            if base_cps > 0 and cur_cps > 0:
-                print(f"bench_diff: sweep {cur_cps:.2f} cells/s vs "
-                      f"baseline {base_cps:.2f} (informational — baseline "
-                      f"hardware may differ)")
-        if hw >= args.sweep_min_cores and threads >= args.sweep_min_cores:
-            if speedup < args.sweep_floor:
-                gate(f"sweep speedup {speedup:.2f}x is below the "
-                     f"{args.sweep_floor:.1f}x floor on {hw}-thread "
-                     f"hardware")
-            else:
-                print(f"bench_diff: sweep OK "
-                      f"(>= {args.sweep_floor:.1f}x floor)")
-        else:
-            print(f"bench_diff: sweep floor skipped — needs >= "
-                  f"{args.sweep_min_cores} hardware threads and pool "
-                  f"threads (have hw={hw}, pool={threads}); a "
-                  f"parallel-speedup gate on this machine would only "
-                  f"measure scheduler noise")
-    else:
-        print("bench_diff: no sweep section in current run (skipped)")
-
-    # --- allocation discipline (hard gate, ignores --warn-only) ---
-    check_alloc(cur_doc, args.current, hard)
-
-    # --- flagship open-loop scenario (deterministic gates) ---
-    check_flagship(args, gate)
-
-    # --- serving tier (absolute gates on the current flagship run) ---
-    check_serve(args, gate)
-
-    # --- flagship query-phase allocations (hard gate) ---
-    check_flagship_alloc(args, hard)
-
-    return finish(args, failures, hard_failures, "")
+    base_doc = load_flagship(args.flagship_baseline)
+    cur_doc = load_flagship(args.flagship)
+    check_flagship(args, base_doc, cur_doc, gate)
+    check_serve(args, cur_doc, gate)
+    check_flagship_alloc(args, cur_doc, hard)
+    return finish(args, failures, hard_failures)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Tests for scripts/bench_diff.py error handling and the alloc gate.
+"""Tests for scripts/bench_diff.py: the flagship gates, their error
+handling and --warn-only.
 
 Runs bench_diff.py as a subprocess (the way CI and check.sh invoke it)
 and asserts on exit codes and messages: malformed input must produce a
-one-line readable error (never a traceback), and the allocation hard
-gates (zero steady-state allocations, the flagship per-arrival
-ceiling) must fail even under --warn-only.
+one-line readable error (never a traceback), --warn-only softens the
+deterministic gates, and the flagship per-arrival allocation ceiling
+fails even under --warn-only.
 """
 
 import json
@@ -17,20 +18,6 @@ import unittest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "bench_diff.py")
-
-
-def perf_doc(alloc=None):
-    """A minimal well-formed BENCH_perf.json document."""
-    doc = {
-        "online": {
-            "engine_events_per_sec": 1000000.0,
-            "queries_per_sec": 50.0,
-            "scanned_per_subquery": 10.0,
-        },
-    }
-    if alloc is not None:
-        doc["alloc"] = alloc
-    return doc
 
 
 def flagship_doc(recall=0.95, scanned=70.0, serve=None):
@@ -80,104 +67,16 @@ class BenchDiffTest(unittest.TestCase):
                 json.dump(content, f)
         return path
 
-    def run_diff(self, baseline, current, *extra):
-        return subprocess.run(
-            [sys.executable, SCRIPT, "--baseline", baseline,
-             "--current", current, *extra],
-            capture_output=True, text=True, check=False)
-
     def assert_readable_failure(self, proc, needle):
         combined = proc.stdout + proc.stderr
         self.assertNotEqual(proc.returncode, 0, combined)
         self.assertNotIn("Traceback", combined)
         self.assertIn(needle, combined)
 
-    def test_matching_runs_pass(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc())
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("bench_diff: OK", proc.stdout)
-
-    def test_missing_file_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        missing = os.path.join(self.tmp.name, "nope.json")
-        proc = self.run_diff(base, missing)
-        self.assert_readable_failure(proc, "cannot read")
-
-    def test_invalid_json_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", "{not json")
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "cannot read")
-
-    def test_missing_online_section_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", {"sweep": {}})
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "no \"online\" section")
-
-    def test_missing_metric_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        doc = perf_doc()
-        del doc["online"]["engine_events_per_sec"]
-        cur = self.write("cur.json", doc)
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "engine_events_per_sec")
-
-    def test_non_numeric_metric_is_readable(self):
-        base = self.write("base.json", perf_doc())
-        doc = perf_doc()
-        doc["online"]["queries_per_sec"] = "fast"
-        cur = self.write("cur.json", doc)
-        proc = self.run_diff(base, cur)
-        self.assert_readable_failure(proc, "is not a number")
-
-    def test_alloc_gate_passes_on_zero_steady_state(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-        }))
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("alloc gate OK", proc.stdout)
-
-    def test_alloc_gate_fails_hard_even_with_warn_only(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 7, "frees": 7,
-                                    "alloc_bytes": 448,
-                                    "free_bytes": 448},
-        }))
-        proc = self.run_diff(base, cur, "--warn-only")
-        self.assert_readable_failure(proc, "HARD FAILURE")
-        self.assertIn("allocation-free", proc.stderr)
-
-    def test_alloc_gate_skipped_when_guard_disabled(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": False,
-            "engine_warmup": {"allocs": 0, "frees": 0,
-                              "alloc_bytes": 0, "free_bytes": 0},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-        }))
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("alloc gate skipped", proc.stdout)
-
     def run_flagship(self, baseline, current, *extra):
         return subprocess.run(
-            [sys.executable, SCRIPT, "--flagship-only",
-             "--flagship-baseline", baseline, "--flagship", current,
-             *extra],
+            [sys.executable, SCRIPT, "--flagship-baseline", baseline,
+             "--flagship", current, *extra],
             capture_output=True, text=True, check=False)
 
     def test_flagship_matching_runs_pass(self):
@@ -186,6 +85,35 @@ class BenchDiffTest(unittest.TestCase):
         proc = self.run_flagship(base, cur)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("bench_diff: OK", proc.stdout)
+
+    def test_missing_file_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        missing = os.path.join(self.tmp.name, "nope.json")
+        proc = self.run_flagship(base, missing)
+        self.assert_readable_failure(proc, "cannot read")
+        proc = self.run_flagship(missing, base)
+        self.assert_readable_failure(proc, "cannot read")
+
+    def test_invalid_json_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json", "{not json")
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "cannot read")
+
+    def test_missing_deterministic_section_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        cur = self.write("fcur.json", {"scale": {}})
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc,
+                                     "no \"deterministic\" section")
+
+    def test_non_numeric_metric_is_readable(self):
+        base = self.write("fbase.json", flagship_doc())
+        doc = flagship_doc()
+        doc["deterministic"]["latency_ms"]["p99"] = "fast"
+        cur = self.write("fcur.json", doc)
+        proc = self.run_flagship(base, cur)
+        self.assert_readable_failure(proc, "is not a number")
 
     def test_flagship_recall_floor_fails(self):
         base = self.write("fbase.json", flagship_doc())
@@ -277,36 +205,6 @@ class BenchDiffTest(unittest.TestCase):
         proc = self.run_flagship(base, cur, "--serve-overload-mult", "1")
         self.assert_readable_failure(proc, "is not below the serve-off")
 
-    def test_serve_alloc_gate_fails_hard(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-            "serve_steady_state": {"allocs": 3, "frees": 3,
-                                   "alloc_bytes": 192, "free_bytes": 192},
-        }))
-        proc = self.run_diff(base, cur, "--warn-only")
-        self.assert_readable_failure(proc, "HARD FAILURE")
-        self.assertIn("cache probe", proc.stderr)
-
-    def test_serve_alloc_gate_passes_on_zero(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc(alloc={
-            "guard_enabled": True,
-            "engine_warmup": {"allocs": 123, "frees": 4,
-                              "alloc_bytes": 9000, "free_bytes": 100},
-            "engine_steady_state": {"allocs": 0, "frees": 0,
-                                    "alloc_bytes": 0, "free_bytes": 0},
-            "serve_steady_state": {"allocs": 0, "frees": 0,
-                                   "alloc_bytes": 0, "free_bytes": 0},
-        }))
-        proc = self.run_diff(base, cur)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("serve alloc gate OK", proc.stdout)
-
     def flagship_alloc_doc(self, allocs, guard=True):
         doc = flagship_doc()
         doc["scale"]["arrivals"] = 200
@@ -338,13 +236,6 @@ class BenchDiffTest(unittest.TestCase):
         self.assert_readable_failure(proc, "HARD FAILURE")
         self.assertIn("allocates per candidate", proc.stderr)
 
-    def test_flagship_alloc_gate_runs_with_perf_doc_too(self):
-        base = self.write("base.json", perf_doc())
-        cur = self.write("cur.json", perf_doc())
-        fcur = self.write("fcur.json", self.flagship_alloc_doc(351911))
-        proc = self.run_diff(base, cur, "--flagship", fcur, "--warn-only")
-        self.assert_readable_failure(proc, "HARD FAILURE")
-
     def test_flagship_alloc_gate_skipped_when_guard_disabled(self):
         base = self.write("fbase.json", flagship_doc())
         cur = self.write("fcur.json",
@@ -354,14 +245,25 @@ class BenchDiffTest(unittest.TestCase):
         self.assertIn("flagship alloc gate skipped", proc.stdout)
 
     def test_soft_regression_respects_warn_only(self):
-        base = self.write("base.json", perf_doc())
-        doc = perf_doc()
-        doc["online"]["engine_events_per_sec"] = 1000.0  # 1000x slower
-        cur = self.write("cur.json", doc)
-        self.assertNotEqual(self.run_diff(base, cur).returncode, 0)
-        proc = self.run_diff(base, cur, "--warn-only")
+        base = self.write("fbase.json", flagship_doc())
+        doc = flagship_doc()
+        doc["deterministic"]["latency_ms"]["p99"] = 8000.0  # 10x slower
+        cur = self.write("fcur.json", doc)
+        self.assertNotEqual(self.run_flagship(base, cur).returncode, 0)
+        proc = self.run_flagship(base, cur, "--warn-only")
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("REGRESSION", proc.stdout)
+
+    def test_warn_only_never_softens_a_hard_gate(self):
+        # A soft p99 regression next to a hard allocation failure: the
+        # run fails under --warn-only and reports both.
+        base = self.write("fbase.json", self.flagship_alloc_doc(76475))
+        doc = self.flagship_alloc_doc(351911)
+        doc["deterministic"]["latency_ms"]["p99"] = 8000.0
+        cur = self.write("fcur.json", doc)
+        proc = self.run_flagship(base, cur, "--warn-only")
+        self.assert_readable_failure(proc, "HARD FAILURE")
+        self.assertIn("p99 latency grew", proc.stderr)
 
 
 if __name__ == "__main__":

@@ -12,28 +12,30 @@
 #                                       # invariant auditor attached
 #                                       # (src/audit/, fail-fast)
 #   scripts/check.sh --all              # the full gate:
-#                                       #   1. lmk-lint over src/ tools/ tests/
+#                                       #   1. lmk-lint over src/ tools/
+#                                       #      tests/ bench/
 #                                       #   2. clang-tidy (scripts/tidy.sh)
 #                                       #   3. plain build (-Werror) + ctest
 #                                       #   4. audit leg (LMK_AUDIT=1 ctest)
 #                                       #   5. ASan, UBSan, TSan builds + ctest
 #                                       #   6. alloc-guard leg (below)
 #                                       #   7. sched smoke (below)
-#                                       #   8. serve smoke (below)
-#                                       #   9. perfbench smoke (below)
+#                                       #   8. flagship smoke (below)
+#                                       #   9. serve smoke (below)
+#                                       #  10. perfbench smoke (below)
 #   scripts/check.sh --alloc-guard [--warn-only]
 #                                       # allocation-discipline leg: build
 #                                       # with -DLMK_ALLOC_GUARD=ON and
 #                                       # -DLMK_ARENA_GUARD=ON (operator
 #                                       # new/delete interposed, arena
-#                                       # lifetime sanitizer armed), ctest,
-#                                       # then a toy-scale bench_perf and a
-#                                       # smoke-scale bench_flagship whose
-#                                       # per-phase allocation JSON feeds
-#                                       # bench_diff.py's zero-steady-state-
-#                                       # allocation gate and its flagship
+#                                       # lifetime sanitizer armed), ctest
+#                                       # (sim_test and serve_test hold the
+#                                       # engine and result-cache steady
+#                                       # states to zero allocations), then
+#                                       # a smoke-scale bench_flagship whose
+#                                       # allocation JSON feeds bench_diff.py's
 #                                       # allocations-per-arrival ceiling
-#                                       # (HARD gates: they fail even under
+#                                       # (a HARD gate: it fails even under
 #                                       # --warn-only)
 #   scripts/check.sh --perfbench-smoke  # the repository benchmark's
 #                                       # selftest (perfbench/run.py
@@ -42,24 +44,22 @@
 #                                       # identical across runs and pool
 #                                       # widths, and that a planted wrong
 #                                       # result is caught
-#   scripts/check.sh --bench-smoke [--warn-only]
-#                                       # toy-scale online bench_perf run +
-#                                       # bench_diff.py events/sec regression
-#                                       # check against the committed
-#                                       # bench/BENCH_perf.baseline.json
-#                                       # (--warn-only: report, never fail —
-#                                       # what CI uses on shared runners)
 #   scripts/check.sh --flagship-smoke [--warn-only]
+#                                       # determinism + flagship gates: a
+#                                       # toy-scale fig2 sweep and the
 #                                       # reduced-scale bench_flagship run
-#                                       # (256 nodes / 20k objects), twice:
-#                                       # LMK_THREADS=1 and =8, byte-compares
-#                                       # the deterministic JSON sections
-#                                       # (that cmp fails hard even under
+#                                       # (256 nodes / 20k objects), each at
+#                                       # LMK_THREADS=1 and =8, byte-compared
+#                                       # (fig2 stdout, flagship deterministic
+#                                       # JSON; the cmps fail hard even under
 #                                       # --warn-only), then bench_diff.py
-#                                       # --flagship-only gates p99 latency,
-#                                       # arena high-water, and bytes on the
-#                                       # wire against the committed
+#                                       # gates p99 latency, arena high-water,
+#                                       # bytes on the wire, recall and
+#                                       # scanned/subquery against the
+#                                       # committed baseline
 #                                       # bench/BENCH_flagship.baseline.json
+#                                       # (--warn-only: report those, never
+#                                       # fail — what CI uses)
 #   scripts/check.sh --serve-smoke [--warn-only]
 #                                       # serving-layer gate: bench_flagship
 #                                       # with LMK_FLAGSHIP_SERVE=1 and
@@ -69,10 +69,10 @@
 #                                       # the deterministic sections (serve
 #                                       # sweep included; fails hard even
 #                                       # under --warn-only), then
-#                                       # bench_diff.py --flagship-only runs
-#                                       # the serve gates: digest match, hit-
-#                                       # rate floor, wire-ratio ceiling, and
-#                                       # the 4x-overload p99 win
+#                                       # bench_diff.py runs the serve gates:
+#                                       # digest match, hit-rate floor,
+#                                       # wire-ratio ceiling, and the
+#                                       # 4x-overload p99 win
 #   scripts/check.sh --sched-smoke      # schedule & fault exploration gate:
 #                                       # a small lmk-sched seed swarm must
 #                                       # pass on the clean tree, then a
@@ -114,7 +114,7 @@ run_lint() {
   cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON >/dev/null
   cmake --build build-check -j"$(nproc)" --target lmk-lint >/dev/null
-  ./build-check/tools/lint/lmk-lint src tools tests
+  ./build-check/tools/lint/lmk-lint src tools tests bench
 }
 
 run_sched_smoke() {
@@ -167,23 +167,14 @@ run_audit() {
   LMK_AUDIT=1 ctest --test-dir build-check --output-on-failure -j"$(nproc)"
 }
 
-run_bench_smoke() {
-  echo "== check.sh: bench smoke (toy-scale online bench_perf) =="
+run_flagship_smoke() {
+  echo "== check.sh: flagship smoke (reduced open-loop scenario) =="
   cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON >/dev/null
   cmake --build build-check -j"$(nproc)" \
-    --target bench_perf bench_fig2_synthetic_nolb >/dev/null
-  # Toy scale: the offline phases shrink with the workload, while the
-  # engine storm (events/sec, the number bench_diff gates on) measures
-  # per-event dispatch cost, which is scale-independent.
-  LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
-    LMK_ONLINE_EVENTS=1000000 \
-    LMK_PERF_OUT=build-check/BENCH_perf.smoke.json \
-    LMK_PERF_BASELINE=bench/BENCH_perf.baseline.json \
-    ./build-check/bench/bench_perf
+    --target bench_flagship bench_fig2_synthetic_nolb >/dev/null
   # Sweep-engine determinism: one figure sweep must emit byte-identical
   # tables strictly serial (LMK_THREADS=1) and parallel (LMK_THREADS=8).
-  echo "== check.sh: bench smoke (fig2 sweep, 1 vs 8 threads) =="
   LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
     LMK_THREADS=1 ./build-check/bench/bench_fig2_synthetic_nolb \
     > build-check/fig2_sweep.t1.out
@@ -191,19 +182,11 @@ run_bench_smoke() {
     LMK_THREADS=8 ./build-check/bench/bench_fig2_synthetic_nolb \
     > build-check/fig2_sweep.t8.out
   cmp build-check/fig2_sweep.t1.out build-check/fig2_sweep.t8.out
-  echo "bench smoke: fig2 sweep byte-identical at 1 and 8 threads"
-  scripts/bench_diff.py --current build-check/BENCH_perf.smoke.json "$@"
-}
-
-run_flagship_smoke() {
-  echo "== check.sh: flagship smoke (reduced open-loop scenario) =="
-  cmake -B build-check -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLMK_WERROR=ON >/dev/null
-  cmake --build build-check -j"$(nproc)" --target bench_flagship >/dev/null
+  echo "flagship smoke: fig2 sweep byte-identical at 1 and 8 threads"
   # The deterministic section (virtual-time latency, wire bytes, arena
-  # marks, recall) must be byte-identical at any thread count; only the
-  # wallclock section may differ.  Run the reduced scenario serial and
-  # wide, compare the deterministic JSON, gate on the committed baseline.
+  # marks, recall) must be byte-identical at any thread count.  Run the
+  # reduced scenario serial and wide, compare the deterministic JSON,
+  # gate on the committed baseline.
   LMK_THREADS=1 \
     LMK_FLAGSHIP_OUT=build-check/BENCH_flagship.smoke.json \
     LMK_FLAGSHIP_DET_OUT=build-check/flagship_det.t1.json \
@@ -214,8 +197,7 @@ run_flagship_smoke() {
     ./build-check/bench/bench_flagship >/dev/null
   cmp build-check/flagship_det.t1.json build-check/flagship_det.t8.json
   echo "flagship smoke: deterministic section byte-identical at 1 and 8 threads"
-  scripts/bench_diff.py --flagship-only \
-    --flagship build-check/BENCH_flagship.smoke.json "$@"
+  scripts/bench_diff.py --flagship build-check/BENCH_flagship.smoke.json "$@"
 }
 
 run_serve_smoke() {
@@ -239,8 +221,7 @@ run_serve_smoke() {
     ./build-check/bench/bench_flagship >/dev/null
   cmp build-check/serve_det.t1.json build-check/serve_det.t8.json
   echo "serve smoke: deterministic section byte-identical at 1 and 8 threads"
-  scripts/bench_diff.py --flagship-only \
-    --flagship build-check/BENCH_flagship.serve.json "$@"
+  scripts/bench_diff.py --flagship build-check/BENCH_flagship.serve.json "$@"
 }
 
 run_alloc_guard() {
@@ -250,20 +231,15 @@ run_alloc_guard() {
   cmake -B build-check-allocguard -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLMK_WERROR=ON -DLMK_ALLOC_GUARD=ON -DLMK_ARENA_GUARD=ON
   cmake --build build-check-allocguard -j"$(nproc)"
+  # The zero-allocation steady states of the event engine and the result
+  # cache are ctests (sim_test, serve_test) that assert only here, where
+  # the counters move.
   ctest --test-dir build-check-allocguard --output-on-failure -j"$(nproc)"
-  # Toy-scale storm: the steady-state phase must report zero allocations
-  # (bench_diff's hard gate); scale does not matter, per-event behaviour
-  # does.
-  LMK_NODES=64 LMK_OBJECTS=2000 LMK_QUERIES=30 LMK_SAMPLE=200 \
-    LMK_ONLINE_EVENTS=1000000 \
-    LMK_PERF_OUT=build-check-allocguard/BENCH_perf.allocguard.json \
-    ./build-check-allocguard/bench/bench_perf
   # The real open-loop query path at smoke scale: its allocations per
   # arrival are held under bench_diff's flagship ceiling.
   LMK_FLAGSHIP_OUT=build-check-allocguard/BENCH_flagship.allocguard.json \
     ./build-check-allocguard/bench/bench_flagship
   scripts/bench_diff.py \
-    --current build-check-allocguard/BENCH_perf.allocguard.json \
     --flagship build-check-allocguard/BENCH_flagship.allocguard.json "$@"
 }
 
@@ -289,13 +265,6 @@ if [ "${1:-}" = "--flagship-smoke" ]; then
   shift
   run_flagship_smoke "$@"
   echo "check.sh: OK (flagship smoke)"
-  exit 0
-fi
-
-if [ "${1:-}" = "--bench-smoke" ]; then
-  shift
-  run_bench_smoke "$@"
-  echo "check.sh: OK (bench smoke)"
   exit 0
 fi
 
@@ -328,10 +297,11 @@ if [ "${1:-}" = "--all" ]; then
   done
   run_alloc_guard
   run_sched_smoke
+  run_flagship_smoke
   run_serve_smoke
   run_perfbench_smoke
   echo "check.sh: OK (--all: lint + tidy + plain + audit + asan/ubsan/tsan" \
-       "+ alloc-guard + sched-smoke + serve-smoke" \
+       "+ alloc-guard + sched-smoke + flagship-smoke + serve-smoke" \
        "+ perfbench-smoke, LMK_THREADS=$LMK_THREADS)"
   exit 0
 fi

@@ -14,9 +14,10 @@
 //
 // Counters are per-thread (plain thread_local loads/stores, no atomics,
 // no contention), so a scope measures exactly the work its own thread
-// did. The bench harnesses report per-phase deltas into their JSON and
-// scripts/bench_diff.py enforces a hard gate of zero steady-state
-// allocations in the engine storm phase.
+// did. Ctests assert zero steady-state deltas for the event engine
+// (sim_test) and the result cache (serve_test), and bench_flagship
+// reports its query-phase delta for scripts/bench_diff.py's
+// per-arrival ceiling.
 //
 // Without the CMake option everything here compiles to no-ops:
 // alloc_guard_enabled() is false, counters stay zero, and AllocPhaseScope

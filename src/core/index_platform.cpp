@@ -335,8 +335,8 @@ void IndexPlatform::on_sent(std::uint64_t qid, std::uint64_t bytes) {
 
 // lmk-hot-path: on_solve + solve_subquery + flush_reply run once per
 // subquery per index node — the per-event cost of the whole query
-// storm. The alloc-guard bench gate holds this region to zero
-// steady-state allocations.
+// storm. The alloc-guard build's flagship gate (scripts/bench_diff.py,
+// allocations per arrival) catches a per-candidate allocation here.
 void IndexPlatform::on_solve(const RangeQuery& q, ChordNode& node) {
   if (serve_ == nullptr) {
     solve_subquery(q, node);

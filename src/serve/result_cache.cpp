@@ -41,8 +41,8 @@ bool ResultCache::region_equal(const Region& a, const Region& b) {
 
 // lmk-hot-path: probe and invalidate run once per subquery / per
 // mutated point on every index node — they must not allocate in steady
-// state (the bench_perf serve phase holds them to zero under the PR 7
-// alloc gate).
+// state (serve_test's steady-state case asserts zero in the
+// alloc-guard build).
 bool ResultCache::probe(const Region& region,
                         std::span<const std::uint64_t>* objects,
                         std::span<const double>* coords, std::size_t* dims) {

@@ -49,8 +49,9 @@ class EventClosure {
       ops_ = &kInlineOps<D>;
     } else {
       // Cold fallback: only captures over 64 bytes land here, and the
-      // engine's routine continuations all fit inline (the alloc-guard
-      // bench gate proves the steady state is allocation-free).
+      // engine's routine continuations all fit inline (sim_test's
+      // steady-state dispatch case proves it allocation-free in the
+      // alloc-guard build).
       // lmk-lint: allow(hot-alloc) oversized-capture cold fallback
       *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
       ops_ = &kHeapOps<D>;

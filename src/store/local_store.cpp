@@ -24,8 +24,9 @@ void LocalStore::build(const EntryStore& entries) {
 }
 
 // lmk-hot-path: range runs once per subquery per index node — the
-// per-event cost of the whole query storm. The alloc-guard bench gate
-// holds the solver path to zero steady-state allocations.
+// per-event cost of the whole query storm. The alloc-guard build's
+// flagship gate (scripts/bench_diff.py, allocations per arrival)
+// catches a per-entry allocation here.
 std::size_t LocalStore::range(const EntryStore& entries, const Region& region,
                               std::vector<std::uint32_t>& out) const {
   // An empty store indexes zero dimensions; nothing can match.

@@ -70,8 +70,8 @@ TEST(AllocGuard, CountsNewAndDelete) {
 }
 
 TEST(AllocGuard, DeltaIsZeroOverAllocationFreeRegion) {
-  // The property the bench gate enforces: code that does not touch
-  // the allocator reports an exactly-zero delta, no noise floor.
+  // The property the steady-state ctests rely on: code that does not
+  // touch the allocator reports an exactly-zero delta, no noise floor.
   AllocPhaseScope phase("quiet");
   volatile int sink = 0;
   for (int i = 0; i < 1000; ++i) sink = sink + i;

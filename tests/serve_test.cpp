@@ -1,8 +1,8 @@
 // Serving-layer semantics (src/serve/): hot-result cache unit behavior
-// (LRU, TTL, coverage-precision invalidation), end-to-end cache
-// correctness against a brute-force oracle under randomized mutation
-// traces, admission-control shed/retry termination and determinism,
-// and cross-query batching byte savings.
+// (LRU, TTL, coverage-precision invalidation, allocation-free steady
+// state), end-to-end cache correctness against a brute-force oracle
+// under randomized mutation traces, admission-control shed/retry
+// termination and determinism, and cross-query batching byte savings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "common/alloc_guard.hpp"
 #include "common/rng.hpp"
 #include "core/index_platform.hpp"
 #include "serve/result_cache.hpp"
@@ -106,6 +107,68 @@ TEST(ResultCache, OversizeSkips) {
   cache.insert(box2(0.5, 0.6), two, coords2, 2);
   EXPECT_FALSE(cache.probe(box2(0.5, 0.6), &o, &c, &dims));
   EXPECT_EQ(cache.stats().oversize_skips, 1u);
+}
+
+// Once filled, the cache's probe and non-covering invalidation loops
+// run on every subquery and every mutated point of an index node, so
+// they must not allocate. Regions and probe points are prebuilt
+// (Region construction allocates); the counters move only in an
+// LMK_ALLOC_GUARD build, which is where the zero is asserted.
+TEST(ResultCache, SteadyStateProbeAndInvalidationAreAllocationFree) {
+  constexpr std::size_t kSlots = 256;
+  constexpr std::size_t kEntries = 64;
+  constexpr std::size_t kDims = 8;
+  constexpr std::uint64_t kProbes = 20000;
+  ResultCache cache(kSlots, /*max_entries=*/0);
+  auto box_at = [&](double lo) {
+    Region r;
+    for (std::size_t d = 0; d < kDims; ++d) {
+      r.ranges.push_back(Interval{lo, lo + 0.5});
+    }
+    return r;
+  };
+  std::vector<Region> fill_regions, miss_regions;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    fill_regions.push_back(box_at(static_cast<double>(i)));
+    miss_regions.push_back(box_at(static_cast<double>(i) + 0.25));
+  }
+  std::vector<std::uint64_t> objs(kEntries);
+  std::vector<double> coords(kEntries * kDims);
+  Rng rng(33);
+  for (std::size_t e = 0; e < kEntries; ++e) {
+    objs[e] = e;
+    for (std::size_t d = 0; d < kDims; ++d) {
+      coords[e * kDims + d] = rng.uniform();
+    }
+  }
+  for (const Region& r : fill_regions) cache.insert(r, objs, coords, kDims);
+  const std::vector<double> outside(kDims, -10.0);  // covers no slot
+
+  std::span<const std::uint64_t> o;
+  std::span<const double> c;
+  std::size_t dims = 0;
+  std::uint64_t hits = 0, misses = 0;
+  AllocCounters steady;
+  {
+    AllocPhaseScope phase("serve-steady-state");
+    for (std::uint64_t p = 0; p < kProbes; ++p) {
+      if (cache.probe(fill_regions[p % kSlots], &o, &c, &dims)) ++hits;
+    }
+    for (std::uint64_t p = 0; p < kProbes; ++p) {
+      if (!cache.probe(miss_regions[p % kSlots], &o, &c, &dims)) ++misses;
+    }
+    for (std::uint64_t p = 0; p < kProbes / 8; ++p) {
+      cache.invalidate_point(outside);
+    }
+    steady = phase.delta();
+  }
+  EXPECT_EQ(hits, kProbes);
+  EXPECT_EQ(misses, kProbes);
+  EXPECT_EQ(cache.live_slots(), kSlots);
+  if (alloc_guard_enabled()) {
+    EXPECT_EQ(steady.allocs, 0u);
+    EXPECT_EQ(steady.frees, 0u);
+  }
 }
 
 struct Stack {

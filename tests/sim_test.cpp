@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/alloc_guard.hpp"
 #include "common/rng.hpp"
 #include "net/king_loader.hpp"
 #include "net/latency_model.hpp"
@@ -700,6 +701,69 @@ TEST(Simulator, AuditHookFiresOnCadenceCrossingsAndQuiescence) {
   EXPECT_EQ(sim.audits_fired(), 4u);
   sim.run();  // nothing ran: no extra quiescence audit
   EXPECT_EQ(sim.audits_fired(), 4u);
+}
+
+// ----- steady-state allocation discipline -----
+
+// A pure dispatch storm: `chains` self-rescheduling events hammer
+// push/pop/dispatch with ~56-byte captures (the size of the tree
+// router's batched delivery closure), mixed delays with heavy
+// same-timestamp ties, and actor tags, until `remaining` events have
+// fired. The payload feeds the next delay so it cannot be optimized
+// away.
+struct DispatchStorm {
+  Simulator sim;
+  std::uint64_t remaining;
+
+  DispatchStorm(std::uint64_t budget, std::size_t chains)
+      : remaining(budget) {
+    for (std::size_t c = 0; c < chains; ++c) {
+      arm(static_cast<SimTime>(c % 7), 0x9e3779b97f4a7c15ull + c);
+    }
+  }
+
+  void arm(SimTime delay, std::uint64_t salt) {
+    std::uint64_t payload[5] = {salt ^ 0xa076'1d64'78bd'642full,
+                                salt * 0xe703'7ed1'a0b4'28dbull,
+                                salt + 0x8ebc'6af0'9c88'c6e3ull,
+                                salt ^ (salt >> 33), ~salt};
+    sim.schedule_after(
+        delay, [this, salt, payload] { fire(salt ^ payload[salt & 3]); },
+        /*actor=*/salt & 1023);
+  }
+
+  void fire(std::uint64_t salt) {
+    if (remaining == 0) return;
+    --remaining;
+    salt ^= salt << 13;
+    salt ^= salt >> 7;
+    salt ^= salt << 17;
+    arm(static_cast<SimTime>(salt % 5), salt);
+  }
+};
+
+// Once the queue's buckets, heap and closure storage reach their
+// high-water capacity (the warmup quarter), dispatching allocates
+// nothing. The counters move only in an LMK_ALLOC_GUARD build, which
+// is where the zero is asserted.
+TEST(Simulator, SteadyStateDispatchIsAllocationFree) {
+  constexpr std::uint64_t kEvents = 1000000;
+  DispatchStorm storm(kEvents, /*chains=*/4096);
+  {
+    AllocPhaseScope warmup("engine-warmup");
+    storm.sim.run(kEvents / 4);
+  }
+  AllocCounters steady;
+  {
+    AllocPhaseScope phase("engine-steady-state");
+    storm.sim.run();
+    steady = phase.delta();
+  }
+  EXPECT_EQ(storm.remaining, 0u);
+  if (alloc_guard_enabled()) {
+    EXPECT_EQ(steady.allocs, 0u);
+    EXPECT_EQ(steady.frees, 0u);
+  }
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include "eval/sweep.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -102,8 +104,8 @@ struct SmallWorkload {
   double max_dist;
   L2Space space;
 
-  SmallWorkload() {
-    cfg.objects = 700;
+  explicit SmallWorkload(std::size_t objects = 700) {
+    cfg.objects = objects;
     cfg.dims = 8;
     cfg.clusters = 3;
     cfg.deviation = 6;
@@ -274,6 +276,83 @@ TEST(SweepDriver, ConcurrentExperimentCellsMatchSerialCells) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].rows, parallel[i].rows) << "cell " << i;
   }
+}
+
+// The parallel sweep must pay for its pool: eight independent
+// experiment cells over shared inputs run at least 3x faster at the
+// pool width than strictly serial, with identical results. A speedup
+// floor means something only where the cores exist, so the test skips
+// below 8 hardware and pool threads, and in ASan/TSan builds, whose
+// instrumentation serializes the threads it times. It is registered
+// RUN_SERIAL (tests/CMakeLists.txt) so no other test competes for the
+// cores.
+TEST(SweepDriver, ParallelCellsMeetSpeedupFloor) {
+  constexpr std::size_t kMinThreads = 8;
+  constexpr double kSpeedupFloor = 3.0;
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "wall-clock speedup is not measurable under ASan/TSan";
+#endif
+  ThreadGuard guard;
+  set_threads(0);
+  const std::size_t pool = thread_count();
+  const std::size_t hw = std::thread::hardware_concurrency();
+  if (hw < kMinThreads || pool < kMinThreads) {
+    GTEST_SKIP() << "needs >= " << kMinThreads
+                 << " hardware and pool threads (have hw=" << hw
+                 << ", pool=" << pool
+                 << "); a speedup floor here would only measure scheduler "
+                    "noise";
+  }
+  SmallWorkload w(20000);
+  auto dataset =
+      std::make_shared<const std::vector<DenseVector>>(w.data.points);
+  auto queries =
+      std::make_shared<const std::vector<DenseVector>>(w.query_points);
+  auto truth = std::make_shared<
+      const std::vector<std::vector<std::uint64_t>>>(
+      SimilarityExperiment<L2Space>::compute_truth(
+          w.space, w.data.points, w.query_points, 10));
+  ExperimentConfig ecfg;
+  ecfg.nodes = 256;
+  ecfg.seed = 61;
+  auto topology = SimilarityExperiment<L2Space>::make_topology(ecfg);
+
+  auto run_at = [&](std::size_t threads, double* seconds) {
+    set_threads(threads);
+    SweepDriver driver;
+    for (std::uint64_t seed = 80; seed < 88; ++seed) {
+      driver.add_cell([&, seed]() {
+        SimilarityExperiment<L2Space> exp(ecfg, w.space, dataset,
+                                          w.mapper(seed),
+                                          "cell-" + std::to_string(seed),
+                                          topology);
+        exp.set_queries(queries, truth);
+        CellOutput out;
+        for (double f : {0.02, 0.05, 0.10}) {
+          out.rows.push_back(exp.run_batch(f * w.max_dist).row("r"));
+        }
+        return out;
+      });
+    }
+    // lmk-lint: allow(wall-clock) the speedup floor is a wall-time gate
+    const auto t0 = std::chrono::steady_clock::now();
+    auto outs = driver.run();
+    // lmk-lint: allow(wall-clock) the speedup floor is a wall-time gate
+    const auto t1 = std::chrono::steady_clock::now();
+    *seconds = std::chrono::duration<double>(t1 - t0).count();
+    return outs;
+  };
+  double serial_s = 0, parallel_s = 0;
+  auto serial = run_at(1, &serial_s);
+  auto parallel = run_at(pool, &parallel_s);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].rows, parallel[i].rows) << "cell " << i;
+  }
+  const double speedup = serial_s / parallel_s;
+  EXPECT_GE(speedup, kSpeedupFloor)
+      << "serial " << serial_s << " s, " << pool << " threads "
+      << parallel_s << " s";
 }
 
 }  // namespace

@@ -770,8 +770,8 @@ void rule_unordered_iteration(const Ctx& ctx) {
 
 // --- hot-alloc: owning heap allocation inside hot-path regions ---
 // The engine steady-state contract is zero allocations per event
-// (enforced dynamically by the LMK_ALLOC_GUARD bench gate); this rule
-// catches the sources at review time. Placement new is exempt (it
+// (asserted dynamically by sim_test in the LMK_ALLOC_GUARD build); this
+// rule catches the sources at review time. Placement new is exempt (it
 // binds storage the caller already owns); growth calls are exempt when
 // the receiver has a reserve() call in the file or companion header
 // (capacity warmup, amortizes to zero).
